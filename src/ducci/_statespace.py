@@ -1,14 +1,13 @@
-'''Bulk helpers over the full state space of Z_m^n.
+'''Bulk helpers over the full state space of Z_m^n, on integer codes.
 
-States are indexed by integers using big-endian digits (entry 1 is the
-most significant), so ascending index order equals lexicographic order
-of the tuples.  Everything here is internal plumbing for the orbit,
-graph and verification modules.
+A state's code is its big-endian base-m digits (entry 1 is the most
+significant), so ascending codes are lexicographic order of the tuples.
+Whole-space work is numpy passes over the successor array, whose entry
+c codes the pair-sum image of state c; tuples are made only at the API
+edge.  Internal plumbing for the orbit, graph and verification modules.
 '''
 
 from __future__ import annotations
-
-from collections import deque
 
 import numpy as np
 
@@ -30,39 +29,26 @@ def encode(u, m: int) -> int:
   return code
 
 
-def decode(code: int, m: int, n: int) -> tuple[int, ...]:
-  digits = []
-  for _ in range(n):
-    code, d = divmod(code, m)
-    digits.append(d)
-  return tuple(reversed(digits))
+def digits(codes: np.ndarray, m: int, n: int) -> np.ndarray:
+  '''The states with the given codes as a (len(codes), n) digit matrix.'''
+  return codes[:, None] // m ** np.arange(n - 1, -1, -1, dtype=np.int64) % m
 
 
 def successor_array(m: int, n: int, cap: int = ENUM_NODE_CAP) -> np.ndarray:
-  '''Index of the pair-sum image for every state index, as int64.'''
-  count = m ** n
-  check_cap(count, cap, f'enumerating Z_{m}^{n}')
-  idx = np.arange(count, dtype=np.int64)
-  succ = np.zeros(count, dtype=np.int64)
-  first = (idx // (m ** (n - 1))) % m
-  cur = first
+  '''Code of the pair-sum image for every state code, as int64.'''
+  check_cap(m ** n, cap, f'enumerating Z_{m}^{n}')
+  entry = [np.arange(m).reshape((1,) * i + (m,) + (1,) * (n - 1 - i))
+           for i in range(n)]
+  succ = np.zeros((m,) * n, dtype=np.int64)
   for i in range(n):
-    if i == n - 1:
-      nxt = first
-    else:
-      nxt = (idx // (m ** (n - 2 - i))) % m
-    succ += ((cur + nxt) % m) * (m ** (n - 1 - i))
-    cur = nxt
-  return succ
+    succ += (entry[i] + entry[(i + 1) % n]) % m * m ** (n - 1 - i)
+  return succ.reshape(-1)
 
 
 def states_matrix(m: int, n: int, cap: int = ENUM_NODE_CAP) -> np.ndarray:
   '''All states as an (m**n, n) int64 matrix in lexicographic order.'''
-  count = m ** n
-  check_cap(count, cap, f'enumerating Z_{m}^{n}')
-  idx = np.arange(count, dtype=np.int64)
-  cols = [(idx // (m ** (n - 1 - i))) % m for i in range(n)]
-  return np.stack(cols, axis=1)
+  check_cap(m ** n, cap, f'enumerating Z_{m}^{n}')
+  return digits(np.arange(m ** n, dtype=np.int64), m, n)
 
 
 def batch_step(states: np.ndarray, m: int) -> np.ndarray:
@@ -76,51 +62,49 @@ def batch_iter(states: np.ndarray, m: int, r: int) -> np.ndarray:
   return states
 
 
-def cycle_mask(succ: np.ndarray) -> tuple[list[bool], list[int]]:
-  '''Peel in-degree-0 states until only cycle states remain.
+def cycle_mask(succ: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+  '''(on_cycle flags, to_cycle) for a successor array over range(N).
 
-  Returns (on_cycle flags, successor list).  A state survives peeling
-  exactly when it lies on a cycle of the transition graph.
+  Pointer doubling: the images of succ^(2^t) shrink until two in a row
+  are the same size, the cycle states; `to_cycle` is that power of succ.
   '''
-  succ_list = succ.tolist()
-  indeg = np.bincount(succ, minlength=len(succ_list)).tolist()
-  stack = [v for v, d in enumerate(indeg) if d == 0]
-  while stack:
-    v = stack.pop()
-    w = succ_list[v]
-    indeg[w] -= 1
-    if indeg[w] == 0:
-      stack.append(w)
-  return [d > 0 for d in indeg], succ_list
+  on_cycle, to_cycle = np.zeros(len(succ), dtype=bool), succ
+  on_cycle[succ] = True
+  while True:
+    to_cycle = to_cycle[to_cycle]
+    image = np.zeros(len(succ), dtype=bool)
+    image[to_cycle] = True
+    if np.count_nonzero(image) == np.count_nonzero(on_cycle):
+      return on_cycle, to_cycle
+    on_cycle = image
 
 
-def tail_cycle_tables(succ: np.ndarray) -> tuple[list[int], list[int], list[bool]]:
-  '''Per-state (steps to reach a cycle, cycle length, on-cycle flag).'''
-  on_cycle, succ_list = cycle_mask(succ)
-  count = len(succ_list)
-  lens = [0] * count
-  pers = [0] * count
-  labeled = [False] * count
-  for v in range(count):
-    if on_cycle[v] and not labeled[v]:
-      cyc = [v]
-      labeled[v] = True
-      w = succ_list[v]
-      while w != v:
-        labeled[w] = True
-        cyc.append(w)
-        w = succ_list[w]
-      for node in cyc:
-        pers[node] = len(cyc)
-  preds: list[list[int]] = [[] for _ in range(count)]
-  for v in range(count):
-    if not on_cycle[v]:
-      preds[succ_list[v]].append(v)
-  queue = deque(v for v in range(count) if on_cycle[v])
-  while queue:
-    w = queue.popleft()
-    for v in preds[w]:
-      lens[v] = lens[w] + 1
-      pers[v] = pers[w]
-      queue.append(v)
-  return lens, pers, on_cycle
+def tail_cycle_tables(succ: np.ndarray) -> tuple[np.ndarray, ...]:
+  '''Per-state (steps to reach a cycle, cycle length, on-cycle flag,
+  label: the smallest state on that cycle, naming the weak component).
+
+  Pointer doubling over the cycle states gives lengths and labels: `low`
+  is the minimum over the next 2^t states, final once a step keeps it.
+  Then the off-cycle states step together until each lands on a cycle.
+  '''
+  on_cycle, to_cycle = cycle_mask(succ)
+  cyc = np.flatnonzero(on_cycle)
+  jump, low = np.searchsorted(cyc, succ[cyc]), np.arange(cyc.size)
+  while not np.array_equal(lower := np.minimum(low, low[jump]), low):
+    low, jump = lower, jump[jump]
+  label, period, lens = (np.zeros(len(succ), dtype=np.int64) for _ in range(3))
+  label[cyc], period[cyc] = cyc[low], np.bincount(low)[low]
+  todo = np.flatnonzero(~on_cycle)
+  at = succ[todo]
+  while todo.size:
+    lens[todo] += 1
+    ahead = ~on_cycle[at]
+    todo, at = todo[ahead], succ[at[ahead]]
+  return lens, period[to_cycle], on_cycle, label[to_cycle]
+
+
+def kernel_codes(m: int, n: int,
+                 cap: int = ENUM_NODE_CAP) -> tuple[np.ndarray, np.ndarray]:
+  '''Sorted codes of the cycle states of Z_m^n and their digit matrix.'''
+  codes = np.flatnonzero(cycle_mask(successor_array(m, n, cap))[0])
+  return codes, digits(codes, m, n)

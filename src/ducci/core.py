@@ -73,7 +73,10 @@ def validate_tuple(sys: DucciSystem, u: Sequence[int]) -> ResidueTuple:
   if len(u) != sys.n:
     raise ParameterError(f'expected {sys.n} entries, got {len(u)}')
   for entry in u:
-    if not isinstance(entry, int) or not 0 <= entry < sys.m:
+    if not isinstance(entry, int):
+      raise ParameterError(f'entry {entry!r} has type '
+                           f'{type(entry).__name__}, not a Python int')
+    if not 0 <= entry < sys.m:
       raise ParameterError(f'entry {entry!r} outside [0, {sys.m})')
   return tuple(u)
 

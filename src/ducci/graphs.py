@@ -2,15 +2,21 @@
 
 Every state has exactly one out-edge (to its image), so each weakly
 connected component contains exactly one cycle and the union of those
-cycles over all components is the kernel of the system.
+cycles over all components is the kernel of the system.  Graphs are
+held as state codes (see `_statespace`), and components and export text
+are computed from the codes without making tuples.
 '''
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import product
 
-from .core import DucciSystem, ResidueTuple, _step, format_tuple, validate_tuple
+import numpy as np
+
+from . import _statespace
+from .core import DucciSystem, ResidueTuple, format_tuple, validate_tuple
 from .errors import CapExceededError, ParameterError
 from .limits import ENUM_NODE_CAP
 
@@ -20,37 +26,52 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TransitionGraph:
   '''A set of states with their out-edges under the pair-sum map.
 
-  `nodes` is lexicographically sorted; `edges` holds one (u, image)
-  pair per node, aligned with `nodes`; `indegree` covers every node,
-  zeros included.
+  `codes` holds the node codes in ascending order and `targets` the code
+  of each node's image, always a node too.  `nodes` is lexicographically
+  sorted; `edges` holds one (u, image) pair per node, aligned with
+  `nodes`; `indegree` covers every node, zeros included.  All three are
+  built on first use.
   '''
 
   sys: DucciSystem
-  nodes: tuple[ResidueTuple, ...]
-  edges: tuple[tuple[ResidueTuple, ResidueTuple], ...]
-  indegree: dict[ResidueTuple, int]
+  codes: np.ndarray
+  targets: np.ndarray
+
+  @cached_property
+  def _succ(self) -> np.ndarray:
+    # The position among the nodes of each node's image.
+    return np.searchsorted(self.codes, self.targets)
+
+  @cached_property
+  def nodes(self) -> tuple[ResidueTuple, ...]:
+    rows = _statespace.digits(self.codes, self.sys.m, self.sys.n)
+    return tuple(map(tuple, rows.tolist()))
+
+  @cached_property
+  def edges(self) -> tuple[tuple[ResidueTuple, ResidueTuple], ...]:
+    nodes = self.nodes
+    return tuple(zip(nodes, map(nodes.__getitem__, self._succ.tolist())))
+
+  @cached_property
+  def indegree(self) -> dict[ResidueTuple, int]:
+    counts = np.bincount(self._succ, minlength=len(self.codes))
+    return dict(zip(self.nodes, counts.tolist()))
 
   @property
   def node_count(self) -> int:
-    return len(self.nodes)
+    return len(self.codes)
 
   @property
   def edge_count(self) -> int:
-    return len(self.edges)
+    return len(self.targets)
 
-
-def _graph_from_nodes(sys: DucciSystem,
-                      nodes: list[ResidueTuple]) -> TransitionGraph:
-  m = sys.m
-  edges = tuple((u, _step(u, m)) for u in nodes)
-  indeg = {u: 0 for u in nodes}
-  for _, target in edges:
-    indeg[target] += 1
-  return TransitionGraph(sys, tuple(nodes), edges, indeg)
+  def __eq__(self, other) -> bool:
+    return (isinstance(other, TransitionGraph) and self.sys == other.sys
+            and np.array_equal(self.codes, other.codes))
 
 
 def build_graph(sys: DucciSystem, *,
@@ -61,8 +82,8 @@ def build_graph(sys: DucciSystem, *,
     raise CapExceededError(
       f'{sys} has {count} states, node cap is {max_nodes}',
       required=count, cap=max_nodes)
-  nodes = list(product(range(sys.m), repeat=sys.n))
-  return _graph_from_nodes(sys, nodes)
+  return TransitionGraph(sys, np.arange(count),
+                         _statespace.successor_array(sys.m, sys.n, max_nodes))
 
 
 def component_of(graph: TransitionGraph,
@@ -73,52 +94,47 @@ def component_of(graph: TransitionGraph,
   every predecessor of a node belongs to the same component.
   '''
   start = validate_tuple(graph.sys, u)
-  if start not in graph.indegree:
+  code = _statespace.encode(start, graph.sys.m)
+  pos = np.searchsorted(graph.codes, code)
+  if pos == graph.node_count or graph.codes[pos] != code:
     raise ParameterError(f'{format_tuple(start)} is not in this graph')
-  neighbours: dict[ResidueTuple, list[ResidueTuple]] = {
-    v: [] for v in graph.nodes}
-  for source, target in graph.edges:
-    neighbours[source].append(target)
-    neighbours[target].append(source)
-  seen = {start}
-  frontier = [start]
-  while frontier:
-    node = frontier.pop()
-    for other in neighbours[node]:
-      if other not in seen:
-        seen.add(other)
-        frontier.append(other)
-  return _graph_from_nodes(graph.sys, sorted(seen))
+  labels = _statespace.tail_cycle_tables(graph._succ)[3]
+  keep = labels == labels[pos]
+  return TransitionGraph(graph.sys, graph.codes[keep], graph.targets[keep])
 
 
 def weak_components(graph: TransitionGraph) -> list[TransitionGraph]:
   '''All weakly connected components, ordered by their smallest node.'''
-  remaining = set(graph.nodes)
-  out = []
-  for node in graph.nodes:
-    if node in remaining:
-      comp = component_of(graph, node)
-      out.append(comp)
-      remaining.difference_update(comp.nodes)
-  return out
+  labels = _statespace.tail_cycle_tables(graph._succ)[3]
+  order = np.argsort(labels, kind='stable')
+  groups = np.split(order, np.flatnonzero(np.diff(labels[order])) + 1)
+  return [TransitionGraph(graph.sys, graph.codes[g], graph.targets[g])
+          for g in sorted(groups, key=lambda g: g[0])]
+
+
+def _edge_texts(graph: TransitionGraph) -> list[list[str]]:
+  # Canonical text of each source and each target, joined from tables of
+  # "(d_1,...,d_h" by the high digits and ",...,d_n)" by the low ones.
+  m, n, half = graph.sys.m, graph.sys.n, graph.sys.n // 2
+  sym = [str(d) for d in range(m)]
+  high = ['(' + ','.join(t) for t in product(sym, repeat=n - half)]
+  low = [''.join(',' + d for d in t) + ')' for t in product(sym, repeat=half)]
+  return [list(map(str.__add__, map(high.__getitem__, upper.tolist()),
+                   map(low.__getitem__, lower.tolist())))
+          for upper, lower in (np.divmod(graph.codes, m ** half),
+                               np.divmod(graph.targets, m ** half))]
 
 
 def to_dot(graph: TransitionGraph) -> str:
   '''DOT text: node lines in lexicographic order, then edge lines in
   source order.  Output is byte-stable for a given graph.'''
-  lines = ['digraph ducci {']
-  for node in graph.nodes:
-    lines.append(f'  "{format_tuple(node)}";')
-  for source, target in graph.edges:
-    lines.append(f'  "{format_tuple(source)}" -> "{format_tuple(target)}";')
-  lines.append('}')
-  return '\n'.join(lines) + '\n'
+  sources, targets = _edge_texts(graph)
+  return ''.join(['digraph ducci {\n', *map('  "{}";\n'.format, sources),
+                  *map('  "{}" -> "{}";\n'.format, sources, targets), '}\n'])
 
 
 def to_edge_csv(graph: TransitionGraph) -> str:
   '''Edge list as CSV with header source,target; fields are quoted
   because canonical tuple text contains commas.'''
-  lines = ['source,target']
-  for source, target in graph.edges:
-    lines.append(f'"{format_tuple(source)}","{format_tuple(target)}"')
-  return '\n'.join(lines) + '\n'
+  lines = map('"{}","{}"\n'.format, *_edge_texts(graph))
+  return ''.join(['source,target\n', *lines])

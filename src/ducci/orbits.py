@@ -15,8 +15,11 @@ so for instance L_4(2) = 3.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import product
 from typing import Sequence
+
+import numpy as np
 
 from . import _statespace
 from .core import DucciSystem, ResidueTuple, _step, basic_tuple, validate_tuple
@@ -51,25 +54,39 @@ class OrbitSummary:
     }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class KernelSet:
   '''All states of a system that live on cycles.
 
   This set is a subgroup of Z_m^n, closed under the rotation map, and
-  the pair-sum map restricted to it is a bijection.
+  the pair-sum map restricted to it is a bijection.  `rows` holds the
+  members as an (order, n) digit matrix in lexicographic order;
+  `members` is built from it on first use.
   '''
 
-  members: frozenset[ResidueTuple]
+  rows: np.ndarray
+
+  @cached_property
+  def members(self) -> frozenset[ResidueTuple]:
+    return frozenset(self.sorted_members())
 
   @property
   def order(self) -> int:
-    return len(self.members)
+    return len(self.rows)
 
   def sorted_members(self) -> list[ResidueTuple]:
-    return sorted(self.members)
+    return list(map(tuple, self.rows.tolist()))
 
   def to_json_obj(self) -> list[list[int]]:
-    return [list(u) for u in self.sorted_members()]
+    return self.rows.tolist()
+
+  def __eq__(self, other) -> bool:
+    if not isinstance(other, KernelSet):
+      return NotImplemented
+    return self.members == other.members
+
+  def __hash__(self) -> int:
+    return hash(self.members)
 
 
 def orbit_summary(sys: DucciSystem, u: Sequence[int], *,
@@ -180,17 +197,12 @@ def predecessors(sys: DucciSystem, u: Sequence[int]) -> list[ResidueTuple]:
 
 def kernel_set(sys: DucciSystem, *,
                max_states: int = ENUM_NODE_CAP) -> KernelSet:
-  '''The cycle states of `sys`, by in-degree peeling.
-
-  Repeatedly deleting states of in-degree 0 from the transition graph
-  leaves exactly the states that live on cycles.
+  '''The cycle states of `sys`, by pointer doubling on the successor
+  array: the image of D^(2^t) stops shrinking exactly when it has become
+  the set of cycle states.
   '''
-  succ = _statespace.successor_array(sys.m, sys.n, max_states)
-  on_cycle, _ = _statespace.cycle_mask(succ)
-  members = frozenset(
-    _statespace.decode(i, sys.m, sys.n)
-    for i, flag in enumerate(on_cycle) if flag)
-  return KernelSet(members)
+  _, rows = _statespace.kernel_codes(sys.m, sys.n, max_states)
+  return KernelSet(rows)
 
 
 def len_per_map(sys: DucciSystem, *,
@@ -198,13 +210,11 @@ def len_per_map(sys: DucciSystem, *,
                 ) -> dict[ResidueTuple, tuple[int, int]]:
   '''(pre-period, period) for every state of the system at once.
 
-  One linear pass over the transition graph instead of m^n orbit walks:
-  peel to find the cycles, then push pre-periods outward along reversed
-  edges.
+  Array passes over the successor array instead of m^n orbit walks:
+  find the cycles and their lengths by pointer doubling, then step the
+  off-cycle states forward until each lands on a cycle.
   '''
   succ = _statespace.successor_array(sys.m, sys.n, max_states)
-  lens, pers, _ = _statespace.tail_cycle_tables(succ)
-  out = {}
-  for i, state in enumerate(product(range(sys.m), repeat=sys.n)):
-    out[state] = (lens[i], pers[i])
-  return out
+  lens, pers, _, _ = _statespace.tail_cycle_tables(succ)
+  return dict(zip(product(range(sys.m), repeat=sys.n),
+                  zip(lens.tolist(), pers.tolist())))

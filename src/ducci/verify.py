@@ -49,7 +49,7 @@ from .coeffs import binom_mod_pow2, binom_mod_pow2_range, coeff_at
 from .core import DucciSystem, _step, basic_tuple, make_system
 from .errors import CapExceededError
 from .limits import ENUM_NODE_CAP, ORBIT_VISIT_CAP
-from .orbits import basic_len_per, kernel_set, predecessors
+from .orbits import basic_len_per, predecessors
 
 __all__ = [
   'CaseResult', 'CheckReport', 'verify_length_formula',
@@ -227,9 +227,9 @@ def verify_vanishing_bound(k_range=range(1, 6), l_range=range(1, 7), *,
         final = _statespace.batch_iter(states, sys.m, bound)
         bad = np.nonzero(final.any(axis=1))[0]
         if bad.size:
-          u = _statespace.decode(int(bad[0]), sys.m, sys.n)
           cases.append(CaseResult(params, 'fail',
-                                  witness={'state': list(u), 'bound': bound}))
+                                  witness={'state': states[bad[0]].tolist(),
+                                           'bound': bound}))
         else:
           cases.append(CaseResult(
             params, 'pass',
@@ -290,18 +290,18 @@ def verify_trivial_kernel(k_range=range(1, 6), l_range=range(1, 7), *,
         continue
       sys = _pow2_system(k, l)
       try:
-        kernel = kernel_set(sys, max_states=max_states)
+        codes, rows = _statespace.kernel_codes(sys.m, sys.n, max_states)
       except CapExceededError as exc:
         cases.append(CaseResult(params, 'skip', reason=f'cap: {exc}'))
         continue
-      if kernel.members == {(0,) * sys.n}:
+      if codes.tolist() == [0]:
         cases.append(CaseResult(params, 'pass',
                                 observed={'states': sys.state_count}))
       else:
-        extra = min(u for u in kernel.members if any(u))
+        extra = rows[np.flatnonzero(codes)[0]]
         cases.append(CaseResult(params, 'fail',
-                                witness={'cycle_state': list(extra),
-                                         'order': kernel.order}))
+                                witness={'cycle_state': extra.tolist(),
+                                         'order': len(codes)}))
   return _finish('trivial_kernel',
                  {'k': _range_param(k_range), 'l': _range_param(l_range)},
                  cases, started)
@@ -320,48 +320,46 @@ def verify_cycle_subgroup(m: int, n: int, *,
     return _finish('cycle_subgroup', params, [case], started)
 
   try:
-    kernel = kernel_set(sys, max_states=max_states)
+    codes, mat = _statespace.kernel_codes(m, n, max_states)
   except CapExceededError as exc:
     return finish(CaseResult(params, 'skip', reason=f'cap: {exc}'))
 
-  members = kernel.sorted_members()
-  mat = np.array(members, dtype=np.int64)
   weights = np.array([m ** (n - 1 - i) for i in range(n)], dtype=np.int64)
   mask = np.zeros(sys.state_count, dtype=bool)
-  mask[mat @ weights] = True
+  mask[codes] = True
 
   def fail(kind: str, **extra) -> CheckReport:
     witness = {'violation': kind}
     witness.update(extra)
     return finish(CaseResult(params, 'fail', witness=witness))
 
-  if (0,) * n not in kernel.members:
+  if codes[0] != 0:
     return fail('identity_missing')
   for pos, row in enumerate(mat):
     inside = mask[((mat + row) % m) @ weights]
     if not inside.all():
       other = int(np.argmax(~inside))
-      return fail('sum_escapes', u=list(members[pos]), v=list(members[other]))
+      return fail('sum_escapes', u=mat[pos].tolist(), v=mat[other].tolist())
   inside = mask[((-mat) % m) @ weights]
   if not inside.all():
     return fail('inverse_escapes',
-                u=list(members[int(np.argmax(~inside))]))
+                u=mat[int(np.argmax(~inside))].tolist())
   for lam in range(m):
     inside = mask[((mat * lam) % m) @ weights]
     if not inside.all():
       return fail('scale_escapes', lam=lam,
-                  u=list(members[int(np.argmax(~inside))]))
+                  u=mat[int(np.argmax(~inside))].tolist())
   inside = mask[np.roll(mat, -1, axis=1) @ weights]
   if not inside.all():
     return fail('rotation_escapes',
-                u=list(members[int(np.argmax(~inside))]))
+                u=mat[int(np.argmax(~inside))].tolist())
   image = ((mat + np.roll(mat, -1, axis=1)) % m) @ weights
   if not mask[image].all():
     return fail('image_escapes',
-                u=list(members[int(np.argmax(~mask[image]))]))
-  if np.unique(image).size != kernel.order:
+                u=mat[int(np.argmax(~mask[image]))].tolist())
+  if np.unique(image).size != codes.size:
     return fail('image_not_injective')
-  return finish(CaseResult(params, 'pass', observed={'order': kernel.order}))
+  return finish(CaseResult(params, 'pass', observed={'order': codes.size}))
 
 
 def verify_predecessor_count(m: int, n: int, *,
@@ -386,14 +384,13 @@ def verify_predecessor_count(m: int, n: int, *,
   indeg = np.bincount(succ, minlength=sys.state_count)
   bad = np.nonzero((indeg != 0) & (indeg != m))[0]
   if bad.size:
-    state = _statespace.decode(int(bad[0]), m, n)
+    state = _statespace.digits(bad[:1], m, n)[0].tolist()
     return finish(CaseResult(params, 'fail',
-                             witness={'state': list(state),
+                             witness={'state': state,
                                       'count': int(indeg[bad[0]])}))
   alt = tuple(1 if i % 2 == 0 else m - 1 for i in range(n))
   with_preds = np.nonzero(indeg == m)[0]
-  for code in with_preds:
-    state = _statespace.decode(int(code), m, n)
+  for state in _statespace.digits(with_preds, m, n).tolist():
     preds = predecessors(sys, state)
     base = preds[0]
     family = sorted(
@@ -401,7 +398,7 @@ def verify_predecessor_count(m: int, n: int, *,
       for z in range(m))
     if len(preds) != m or preds != family:
       return finish(CaseResult(params, 'fail',
-                               witness={'state': list(state),
+                               witness={'state': state,
                                         'count': len(preds)}))
   return finish(CaseResult(
     params, 'pass',
@@ -641,18 +638,34 @@ def reports_to_jsonl(reports, include_elapsed: bool = False) -> str:
     for r in reports) + '\n'
 
 
+def _params_text(parameters: dict) -> str:
+  # "k=1..5 l=1..6 seed=0": a run of consecutive values as first..last.
+  parts = []
+  for key, value in parameters.items():
+    if isinstance(value, list):
+      run = len(value) > 1 and value == list(range(value[0], value[-1] + 1))
+      value = f'{value[0]}..{value[-1]}' if run else ','.join(map(str, value))
+    parts.append(f'{key}={value}')
+  return ' '.join(parts)
+
+
 def summary_table(reports) -> str:
-  '''Aligned text table: check id, case tallies, verdict, elapsed.'''
-  header = ('check_id', 'cases', 'pass', 'fail', 'skip', 'verdict', 'elapsed')
+  '''Aligned text table: check id, parameters, case tallies, verdict,
+  elapsed.  The parameters column names each report's sweep or system;
+  a table of a single report leaves it out.'''
+  header = ('check_id', 'params', 'cases', 'pass', 'fail', 'skip', 'verdict',
+            'elapsed')
   rows = [header]
   for r in reports:
     tally = {'pass': 0, 'fail': 0, 'skip': 0}
     for case in r.cases:
       tally[case.verdict] += 1
-    rows.append((r.check_id, str(len(r.cases)), str(tally['pass']),
-                 str(tally['fail']), str(tally['skip']), r.verdict,
-                 f'{r.elapsed:.3f}s'))
-  widths = [max(len(row[i]) for row in rows) for i in range(len(header))]
+    rows.append((r.check_id, _params_text(r.parameters), str(len(r.cases)),
+                 str(tally['pass']), str(tally['fail']), str(tally['skip']),
+                 r.verdict, f'{r.elapsed:.3f}s'))
+  if len(reports) == 1:
+    rows = [row[:1] + row[2:] for row in rows]
+  widths = [max(len(row[i]) for row in rows) for i in range(len(rows[0]))]
   lines = []
   for row in rows:
     lines.append('  '.join(cell.ljust(widths[i])

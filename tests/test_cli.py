@@ -11,6 +11,7 @@ import pytest
 import ducci
 from ducci import make_system, predecessors
 from ducci.cli import main
+from ducci.verify import DEFAULT_SYSTEMS
 
 # The directory that holds the imported `ducci` package (src/ in a checkout).
 PACKAGE_ROOT = Path(ducci.__file__).resolve().parent.parent
@@ -247,6 +248,23 @@ class TestVerify:
     assert code == 0
     assert 'binary_length_formula' in out
     assert 'pass' in out
+
+  def test_text_summary_rows_are_distinct(self, capsys):
+    # Every system gets its own cycle_subgroup and predecessor_count
+    # row; the params column tells them apart.  Systems above the cap
+    # are cap skips, which keeps the run short.
+    code, out, _ = run_cli(capsys, 'verify', 'all', '--format', 'text',
+                           '--max-states', '4096', '--k-max', '3',
+                           '--l-max', '3', '--j-max', '6', '--n-max', '8',
+                           '--samples', '10')
+    assert code == 3
+    header, *rows = out.splitlines()
+    assert header.split()[:2] == ['check_id', 'params']
+    assert len(rows) == 9 + 2 * len(DEFAULT_SYSTEMS)
+    without_elapsed = [row.rsplit(maxsplit=1)[0] for row in rows]
+    assert len(set(without_elapsed)) == len(rows)
+    assert any(row.split()[:3] == ['cycle_subgroup', 'm=3', 'n=8']
+               for row in rows)
 
   def test_unknown_check_rejected(self, capsys):
     code, _, err = run_cli(capsys, 'verify', 'bogus')

@@ -2,6 +2,7 @@
 
 import itertools
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -147,6 +148,16 @@ class TestHelpers:
       validate_tuple(sys, (4, 0))
     with pytest.raises(ParameterError):
       validate_tuple(sys, (-1, 0))
+
+  def test_validate_messages_name_the_fault(self):
+    sys = make_system(4, 2)
+    with pytest.raises(ParameterError,
+                       match='has type int64, not a Python int'):
+      validate_tuple(sys, (np.int64(3), 0))
+    with pytest.raises(ParameterError, match='has type float'):
+      validate_tuple(sys, (3.0, 0))
+    with pytest.raises(ParameterError, match=r'^entry 4 outside \[0, 4\)$'):
+      validate_tuple(sys, (4, 0))
 
   def test_reduce_wraps_entries(self):
     sys = make_system(4, 3)

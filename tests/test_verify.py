@@ -1,5 +1,6 @@
 '''The identity-check suite: verdicts, skips, reports, exit codes.'''
 
+import hashlib
 import json
 
 import pytest
@@ -139,6 +140,17 @@ class TestRunner:
     first = run_checks(['bound'], k_max=3, l_max=3, samples=20, seed=7)
     second = run_checks(['bound'], k_max=3, l_max=3, samples=20, seed=7)
     assert reports_to_jsonl(first) == reports_to_jsonl(second)
+
+  # sha256 of the full default sweep's JSONL, pinned so that a faster
+  # check must reproduce every verdict, witness and byte of the old one.
+  @pytest.mark.parametrize('seed,sha256', [
+    (0, '15f3e9d9a4f4e2dc3ad538310cefe2576406b348815e1f35b35fefdc436e4edd'),
+    (701,
+     '1e2de6610b9a7305fda3d212cbf886c7b7cd861e5a3d4977a83026e859b5d1d4'),
+  ])
+  def test_default_sweep_jsonl_is_pinned(self, seed, sha256):
+    text = reports_to_jsonl(run_checks(seed=seed))
+    assert hashlib.sha256(text.encode()).hexdigest() == sha256
 
 
 class TestReports:

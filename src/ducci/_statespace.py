@@ -79,6 +79,40 @@ def cycle_mask(succ: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     on_cycle = image
 
 
+def successor_power(succ: np.ndarray, r: int) -> np.ndarray:
+  '''succ applied r times to every state, by square-and-multiply.'''
+  acc = np.arange(len(succ))
+  while r:
+    if r & 1:
+      acc = succ[acc]
+    succ, r = succ[succ], r >> 1
+  return acc
+
+
+def closure_generators(codes: np.ndarray, rows: np.ndarray,
+                       m: int) -> list[int] | None:
+  '''Greedy generators of a set K of states holding 0 (ascending codes,
+  digit matrix `rows`), or None if K is not closed under addition.
+  A member outside the span so far is a generator g once one pass shows
+  K + g in K, so K holds <generators>.  The span grows by multiples of
+  g, at least doubling: at most log2 |K| passes, not |K|^2 sums.'''
+  n = rows.shape[1]
+  weights = m ** np.arange(n - 1, -1, -1, dtype=np.int64)
+  member, span = np.zeros(m ** n, dtype=bool), np.zeros(m ** n, dtype=bool)
+  member[codes] = span[0] = True
+  span_rows, gens = np.zeros((1, n), dtype=np.int64), []
+  while (outside := np.flatnonzero(~span[codes])).size:
+    g = rows[outside[0]]
+    if not member[((rows + g) % m) @ weights].all():
+      return None
+    multiples = np.arange(m + 1)[:, None] * g % m
+    order = int(np.argmax(span[multiples[1:] @ weights])) + 1
+    span_rows = ((span_rows + multiples[:order, None]) % m).reshape(-1, n)
+    span[span_rows @ weights] = True
+    gens.append(int(codes[outside[0]]))
+  return gens
+
+
 def tail_cycle_tables(succ: np.ndarray) -> tuple[np.ndarray, ...]:
   '''Per-state (steps to reach a cycle, cycle length, on-cycle flag,
   label: the smallest state on that cycle, naming the weak component).

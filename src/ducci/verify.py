@@ -30,9 +30,12 @@ Checked claims, with their check ids:
   half_modulus_pivot     a(l*2^(k-1), l*2^(k-2) + 1) is exactly
                          2^(l-1) mod 2^l, needs l >= 2 and k >= 2
 
-Congruence sweeps share one coefficient table per k built at the
-largest requested modulus 2^max(l); each case then asserts residues
-mod its own 2^l.
+State-space checks are numpy passes on integer state codes: closure
+against a greedy generating set of the kernel, the vanishing bound as
+a power of the successor array, predecessor families by a stable sort
+of it.  Congruence sweeps share one coefficient table per k built at
+the largest requested modulus 2^max(l); each case then asserts
+residues mod its own 2^l.
 '''
 
 from __future__ import annotations
@@ -49,7 +52,7 @@ from .coeffs import binom_mod_pow2, binom_mod_pow2_range, coeff_at
 from .core import DucciSystem, _step, basic_tuple, make_system
 from .errors import CapExceededError
 from .limits import ENUM_NODE_CAP, ORBIT_VISIT_CAP
-from .orbits import basic_len_per, predecessors
+from .orbits import basic_len_per
 
 __all__ = [
   'CaseResult', 'CheckReport', 'verify_length_formula',
@@ -201,9 +204,9 @@ def verify_vanishing_bound(k_range=range(1, 6), l_range=range(1, 7), *,
                            exhaustive_limit: int = 1 << 16) -> CheckReport:
   '''After l * 2^k steps every state of Z_{2^l}^{2^k} is zero.
 
-  Exhaustive over the whole state space when it has at most
-  `exhaustive_limit` states, seeded random samples otherwise.  Also
-  asserts the formula value never exceeds this bound.
+  Exhaustive, by a power of the successor array, when the space has at
+  most `exhaustive_limit` states; seeded samples stepped together
+  otherwise.  Also asserts the formula value never exceeds this bound.
   '''
   started = time.perf_counter()
   rng = random.Random(seed)
@@ -223,36 +226,23 @@ def verify_vanishing_bound(k_range=range(1, 6), l_range=range(1, 7), *,
                                 witness={'formula': formula, 'bound': bound}))
         continue
       if sys.state_count <= exhaustive_limit:
-        states = _statespace.states_matrix(sys.m, sys.n, exhaustive_limit)
-        final = _statespace.batch_iter(states, sys.m, bound)
-        bad = np.nonzero(final.any(axis=1))[0]
-        if bad.size:
-          cases.append(CaseResult(params, 'fail',
-                                  witness={'state': states[bad[0]].tolist(),
-                                           'bound': bound}))
-        else:
-          cases.append(CaseResult(
-            params, 'pass',
-            observed={'bound': bound, 'states': sys.state_count,
-                      'mode': 'exhaustive'}))
-        continue
-      bad_state = None
-      for _ in range(samples):
-        u = tuple(rng.randrange(sys.m) for _ in range(sys.n))
-        cur = u
-        for _ in range(bound):
-          cur = _step(cur, sys.m)
-        if any(cur):
-          bad_state = u
-          break
-      if bad_state is None:
-        cases.append(CaseResult(
-          params, 'pass',
-          observed={'bound': bound, 'samples': samples, 'mode': 'sampled'}))
+        succ = _statespace.successor_array(sys.m, sys.n, exhaustive_limit)
+        bad = np.flatnonzero(_statespace.successor_power(succ, bound))[:1]
+        bad_states = _statespace.digits(bad, sys.m, sys.n)
+        observed = {'bound': bound, 'states': sys.state_count,
+                    'mode': 'exhaustive'}
       else:
+        draws = [rng.randrange(sys.m) for _ in range(samples * sys.n)]
+        states = np.array(draws, dtype=np.int64).reshape(samples, sys.n)
+        final = _statespace.batch_iter(states, sys.m, bound)
+        bad_states = states[final.any(axis=1)]
+        observed = {'bound': bound, 'samples': samples, 'mode': 'sampled'}
+      if len(bad_states):
         cases.append(CaseResult(params, 'fail',
-                                witness={'state': list(bad_state),
+                                witness={'state': bad_states[0].tolist(),
                                          'bound': bound}))
+      else:
+        cases.append(CaseResult(params, 'pass', observed=observed))
   return _finish('vanishing_bound',
                  {'k': _range_param(k_range), 'l': _range_param(l_range),
                   'samples': samples, 'seed': seed},
@@ -310,8 +300,8 @@ def verify_trivial_kernel(k_range=range(1, 6), l_range=range(1, 7), *,
 def verify_cycle_subgroup(m: int, n: int, *,
                           max_states: int = ENUM_NODE_CAP) -> CheckReport:
   '''The kernel is a subgroup of Z_m^n, rotation- and scaling-closed,
-  and the pair-sum map permutes it.  Closure is checked exhaustively
-  over all member pairs.'''
+  and the pair-sum map permutes it.  Closure is tested against a greedy
+  generating set; a scan of member pairs then names an escaping pair.'''
   started = time.perf_counter()
   params = {'m': m, 'n': n}
   sys = make_system(m, n)
@@ -335,11 +325,12 @@ def verify_cycle_subgroup(m: int, n: int, *,
 
   if codes[0] != 0:
     return fail('identity_missing')
-  for pos, row in enumerate(mat):
-    inside = mask[((mat + row) % m) @ weights]
-    if not inside.all():
-      other = int(np.argmax(~inside))
-      return fail('sum_escapes', u=mat[pos].tolist(), v=mat[other].tolist())
+  if _statespace.closure_generators(codes, mat, m) is None:
+    for pos, row in enumerate(mat):
+      inside = mask[((mat + row) % m) @ weights]
+      if not inside.all():
+        other = int(np.argmax(~inside))
+        return fail('sum_escapes', u=mat[pos].tolist(), v=mat[other].tolist())
   inside = mask[((-mat) % m) @ weights]
   if not inside.all():
     return fail('inverse_escapes',
@@ -388,22 +379,21 @@ def verify_predecessor_count(m: int, n: int, *,
     return finish(CaseResult(params, 'fail',
                              witness={'state': state,
                                       'count': int(indeg[bad[0]])}))
-  alt = tuple(1 if i % 2 == 0 else m - 1 for i in range(n))
-  with_preds = np.nonzero(indeg == m)[0]
-  for state in _statespace.digits(with_preds, m, n).tolist():
-    preds = predecessors(sys, state)
-    base = preds[0]
-    family = sorted(
-      tuple((base[i] + z * alt[i]) % m for i in range(n))
-      for z in range(m))
-    if len(preds) != m or preds != family:
-      return finish(CaseResult(params, 'fail',
-                               witness={'state': state,
-                                        'count': len(preds)}))
+  # In-degrees are 0 or m, so a stable sort of the successor array puts
+  # each target's predecessors in one row (m codes, ascending).
+  preds = np.argsort(succ, kind='stable').reshape(-1, m)
+  base = _statespace.digits(preds[:, 0], m, n)
+  alt = np.where(np.arange(n) % 2 == 0, 1, m - 1)
+  weights = m ** np.arange(n - 1, -1, -1, dtype=np.int64)
+  family = np.sort([((base + z * alt) % m) @ weights for z in range(m)], 0)
+  bad = np.flatnonzero((family != preds.T).any(axis=0))
+  if bad.size:
+    state = _statespace.digits(succ[preds[bad[:1], 0]], m, n)[0].tolist()
+    return finish(CaseResult(params, 'fail',
+                             witness={'state': state, 'count': m}))
   return finish(CaseResult(
     params, 'pass',
-    observed={'states': sys.state_count,
-              'with_preds': int(with_preds.size)}))
+    observed={'states': sys.state_count, 'with_preds': len(preds)}))
 
 
 # --- congruence checks -------------------------------------------------

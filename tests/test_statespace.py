@@ -17,8 +17,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ducci import (_statespace, build_graph, component_of, kernel_set,
-                   len_per_map, make_system, orbit_summary, to_dot,
-                   weak_components)
+                   len_per_map, make_system, orbit_summary, predecessors,
+                   to_dot, weak_components)
 from ducci.cli import main
 from ducci.core import _step
 from ducci.verify import DEFAULT_SYSTEMS
@@ -196,6 +196,100 @@ def test_successor_array_matches_stepping():
     want = [_statespace.encode(_step(u, m), m)
             for u in itertools.product(range(m), repeat=n)]
     assert _statespace.successor_array(m, n).tolist() == want, (m, n)
+
+
+# --- verification passes against their slow forms ---------------------------
+
+EVEN_DESK = [(m, n) for m, n in DESK_SYSTEMS if n % 2 == 0]
+# (k, l) whose Z_{2^l}^{2^k} verify_vanishing_bound covers exhaustively.
+EXHAUSTIVE_KL = [(k, l) for k in range(1, 6) for l in range(1, 7)
+                 if l * 2 ** k <= 16]
+
+
+@pytest.mark.parametrize('m,n', EVEN_DESK)
+def test_predecessors_match_successor_array(m, n):
+  sys = make_system(m, n)
+  states = list(itertools.product(range(m), repeat=n))
+  preimages = [[] for _ in states]
+  for code, target in enumerate(_statespace.successor_array(m, n).tolist()):
+    preimages[target].append(states[code])
+  for state, want in zip(states, preimages):
+    assert predecessors(sys, state) == want
+
+
+@pytest.mark.parametrize('k,l', EXHAUSTIVE_KL)
+def test_successor_power_matches_batch_iter(k, l):
+  m, n = 2 ** l, 2 ** k
+  succ = _statespace.successor_array(m, n)
+  states = _statespace.states_matrix(m, n)
+  weights = m ** np.arange(n - 1, -1, -1)
+  for r in range(l * 2 ** k + 1):
+    assert np.array_equal(_statespace.successor_power(succ, r),
+                          states @ weights), r
+    states = _statespace.batch_step(states, m)
+
+
+def span_oracle(gens, m, n):
+  '''Codes of the subgroup generated by the given codes, by search.'''
+  rows = [tuple(row) for row in
+          _statespace.digits(np.array(gens, dtype=np.int64), m, n).tolist()]
+  seen, todo = {(0,) * n}, [(0,) * n]
+  while todo:
+    u = todo.pop()
+    for g in rows:
+      v = tuple((a + b) % m for a, b in zip(u, g))
+      if v not in seen:
+        seen.add(v)
+        todo.append(v)
+  return sorted(_statespace.encode(u, m) for u in seen)
+
+
+def pairwise_closed(codes, m, n):
+  rows = _statespace.digits(np.array(codes, dtype=np.int64), m, n).tolist()
+  members = set(codes)
+  return all(_statespace.encode([(a + b) % m for a, b in zip(u, v)], m)
+             in members for u in rows for v in rows)
+
+
+@st.composite
+def sets_holding_zero(draw):
+  '''(m, n, ascending codes) in a Z_m^n of at most 64 states: a random
+  subgroup, one with a member added or removed, or any set holding 0.'''
+  m, n = draw(st.sampled_from([(m, n) for m in range(2, 7)
+                               for n in range(1, 7) if m ** n <= 64]))
+  code = st.integers(0, m ** n - 1)
+  kind = draw(st.sampled_from(['subgroup', 'added', 'removed', 'any']))
+  if kind == 'any':
+    return m, n, sorted({0, *draw(st.lists(code, max_size=20))})
+  members = span_oracle(draw(st.lists(code, max_size=3)), m, n)
+  if kind == 'added' and len(members) < m ** n:
+    members.append(draw(code.filter(lambda c: c not in members)))
+  if kind == 'removed' and len(members) > 1:
+    members.remove(draw(st.sampled_from(members[1:])))
+  return m, n, sorted(members)
+
+
+@settings(max_examples=300, deadline=None)
+@given(sets_holding_zero())
+def test_closure_generators_match_pairwise_scan(case):
+  m, n, codes = case
+  codes = np.array(codes, dtype=np.int64)
+  gens = _statespace.closure_generators(codes, _statespace.digits(codes, m, n),
+                                        m)
+  assert (gens is not None) == pairwise_closed(codes.tolist(), m, n)
+  if gens is not None:
+    assert span_oracle(gens, m, n) == codes.tolist()
+    assert len(gens) <= len(codes).bit_length() - 1
+
+
+@pytest.mark.parametrize('m,n', DESK_SYSTEMS)
+def test_closure_uses_at_most_log2_generators(m, n):
+  # The pass count that replaced the |K|^2 pair scan, pinned without a
+  # wall-clock bound: each generator at least doubles the span.
+  codes, rows = _statespace.kernel_codes(m, n)
+  gens = _statespace.closure_generators(codes, rows, m)
+  assert gens is not None
+  assert len(gens) <= len(codes).bit_length() - 1
 
 
 # --- components against a union-find ---------------------------------------

@@ -1,11 +1,16 @@
 '''The identity-check suite: verdicts, skips, reports, exit codes.'''
 
 import hashlib
+import itertools
 import json
+import random
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from ducci import exit_code, reports_to_jsonl, run_checks, summary_table
+from ducci import (_statespace, exit_code, reports_to_jsonl, run_checks,
+                   summary_table)
 from ducci.verify import (CaseResult, CheckReport, DEFAULT_SYSTEMS,
                           verify_binary_length_formula,
                           verify_binomial_congruences, verify_coeff_pair_sum1,
@@ -203,3 +208,217 @@ class TestReports:
     assert lines[1].split() == ['synthetic', '2', '1', '0', '1', 'pass',
                                 '0.250s']
     assert len(set(len(line) for line in lines)) <= 2  # aligned columns
+
+
+# --- failure paths against the former per-pair and per-state loops ---------
+#
+# The pair-sum map never breaks these claims, so each test feeds a broken
+# kernel, successor array or step into the check through the `_statespace`
+# functions it calls, and compares the verdict and witness with a copy of
+# the loop the check used before its numpy passes.
+
+def old_subgroup_witness(codes, mat, m, n):
+  '''The former verify_cycle_subgroup checks, in order, over all pairs.'''
+  weights = np.array([m ** (n - 1 - i) for i in range(n)], dtype=np.int64)
+  mask = np.zeros(m ** n, dtype=bool)
+  mask[codes] = True
+
+  def escape(kind, inside, **extra):
+    return dict(violation=kind, **extra,
+                u=mat[int(np.argmax(~inside))].tolist())
+
+  if codes[0] != 0:
+    return {'violation': 'identity_missing'}
+  for pos, row in enumerate(mat):
+    inside = mask[((mat + row) % m) @ weights]
+    if not inside.all():
+      return {'violation': 'sum_escapes', 'u': mat[pos].tolist(),
+              'v': mat[int(np.argmax(~inside))].tolist()}
+  inside = mask[((-mat) % m) @ weights]
+  if not inside.all():
+    return escape('inverse_escapes', inside)
+  for lam in range(m):
+    inside = mask[((mat * lam) % m) @ weights]
+    if not inside.all():
+      return escape('scale_escapes', inside, lam=lam)
+  inside = mask[np.roll(mat, -1, axis=1) @ weights]
+  if not inside.all():
+    return escape('rotation_escapes', inside)
+  image = ((mat + np.roll(mat, -1, axis=1)) % m) @ weights
+  if not mask[image].all():
+    return escape('image_escapes', mask[image])
+  if np.unique(image).size != codes.size:
+    return {'violation': 'image_not_injective'}
+  return None
+
+
+def old_predecessor_witness(succ, m, n):
+  '''The former per-state loop of verify_predecessor_count, with each
+  state's preimages under `succ` in place of `predecessors()`.'''
+  indeg = np.bincount(succ, minlength=m ** n)
+  bad = np.nonzero((indeg != 0) & (indeg != m))[0]
+  if bad.size:
+    return {'state': _statespace.digits(bad[:1], m, n)[0].tolist(),
+            'count': int(indeg[bad[0]])}
+  states = list(itertools.product(range(m), repeat=n))
+  preimages = [[] for _ in states]
+  for code, target in enumerate(succ.tolist()):
+    preimages[target].append(states[code])
+  alt = tuple(1 if i % 2 == 0 else m - 1 for i in range(n))
+  for code in np.nonzero(indeg == m)[0]:
+    preds = preimages[code]
+    base = preds[0]
+    family = sorted(tuple((base[i] + z * alt[i]) % m for i in range(n))
+                    for z in range(m))
+    if len(preds) != m or preds != family:
+      return {'state': list(states[code]), 'count': len(preds)}
+  return None
+
+
+def old_vanishing_cases(k_range, l_range, samples, seed, exhaustive_limit,
+                        step):
+  '''The former verify_vanishing_bound loop with `step` as the map on
+  tuples: walk every state, or draw samples and stop at the first
+  failing one.'''
+  rng = random.Random(seed)
+  cases = []
+  for k in k_range:
+    for l in l_range:
+      m, n, bound = 2 ** l, 2 ** k, l * 2 ** k
+      if m ** n <= exhaustive_limit:
+        candidates = itertools.product(range(m), repeat=n)
+      else:
+        candidates = (tuple(rng.randrange(m) for _ in range(n))
+                      for _ in range(samples))
+      bad_state = None
+      for u in candidates:
+        cur = u
+        for _ in range(bound):
+          cur = step(cur, m)
+        if any(cur):
+          bad_state = u
+          break
+      cases.append(None if bad_state is None
+                   else {'state': list(bad_state), 'bound': bound})
+  return cases
+
+
+@st.composite
+def broken_kernels(draw):
+  '''(m, n, ascending codes holding 0) in a Z_m^n of at most 64 states:
+  a random subgroup with a member added or removed, or any set.'''
+  m, n = draw(st.sampled_from([(m, n) for m in range(2, 7)
+                               for n in range(1, 7) if m ** n <= 64]))
+  code = st.integers(1, m ** n - 1) if m ** n > 1 else st.just(0)
+  members = {0, *draw(st.lists(code, max_size=12))}
+  if draw(st.booleans()):     # close it up, then break it by one member
+    rows = _statespace.digits(np.array(sorted(members)), m, n)
+    while True:
+      sums = (rows[:, None] + rows[None]) % m
+      grown = {0, *(sums.reshape(-1, n) @ m ** np.arange(n - 1, -1, -1))
+               .tolist()}
+      if grown == members:
+        break
+      members = grown
+      rows = _statespace.digits(np.array(sorted(members)), m, n)
+    toggled = draw(code)
+    members ^= {toggled} if toggled else set()
+  return m, n, sorted(members)
+
+
+class TestFailurePaths:
+  @settings(max_examples=300, deadline=None)
+  @given(broken_kernels())
+  def test_subgroup_witness_matches_pairwise_scan(self, case):
+    m, n, members = case
+    codes = np.array(members, dtype=np.int64)
+    mat = _statespace.digits(codes, m, n)
+    with pytest.MonkeyPatch.context() as patch:
+      patch.setattr(_statespace, 'kernel_codes',
+                    lambda m_, n_, cap: (codes, mat))
+      report = verify_cycle_subgroup(m, n)
+    want = old_subgroup_witness(codes, mat, m, n)
+    assert report.cases[0].witness == want
+    assert report.verdict == ('pass' if want is None else 'fail')
+
+  def test_sum_escape_names_the_smallest_pair(self):
+    # {0, (0,1), (1,0)} in Z_3^2: (0,1) + (0,1) = (0,2) is outside.
+    codes = np.array([0, 1, 3])
+    with pytest.MonkeyPatch.context() as patch:
+      patch.setattr(_statespace, 'kernel_codes',
+                    lambda m, n, cap: (codes, _statespace.digits(codes, 3, 2)))
+      report = verify_cycle_subgroup(3, 2)
+    assert report.counterexample == {'m': 3, 'n': 2,
+                                     'violation': 'sum_escapes',
+                                     'u': [0, 1], 'v': [0, 1]}
+
+  @settings(max_examples=60, deadline=None)
+  @given(st.sampled_from([(2, 2), (3, 2), (2, 4), (4, 2), (3, 4), (6, 2)]),
+         st.integers(0, 10 ** 6), st.integers(0, 10 ** 6), st.booleans())
+  def test_predecessor_witness_matches_per_state_loop(self, mn, a, b, swap):
+    m, n = mn
+    succ = _statespace.successor_array(m, n)
+    a, b = a % succ.size, b % succ.size
+    if swap:     # in-degrees stay 0 or m, families break
+      succ[[a, b]] = succ[[b, a]]
+    else:        # one state changes target: in-degrees break
+      succ[a] = succ[b]
+    with pytest.MonkeyPatch.context() as patch:
+      patch.setattr(_statespace, 'successor_array', lambda m_, n_, cap: succ)
+      report = verify_predecessor_count(m, n)
+    want = old_predecessor_witness(succ, m, n)
+    assert report.cases[0].witness == want
+    assert report.verdict == ('pass' if want is None else 'fail')
+
+  @settings(max_examples=40, deadline=None)
+  @given(st.integers(0, 10 ** 6))
+  def test_exhaustive_vanishing_witness_matches_walks(self, pick):
+    # One nonzero state of each system is made a fixed point of the map.
+    broken = {}
+    for m, n in [(2, 2), (4, 2), (2, 4), (4, 4)]:
+      succ = _statespace.successor_array(m, n)
+      fixed = 1 + pick % (succ.size - 1)
+      succ[fixed] = fixed
+      broken[m, n] = succ
+
+    def step(u, m):
+      code = broken[m, len(u)][_statespace.encode(u, m)]
+      return tuple(_statespace.digits(np.array([code]), m, len(u))[0].tolist())
+
+    with pytest.MonkeyPatch.context() as patch:
+      patch.setattr(_statespace, 'successor_array',
+                    lambda m, n, cap: broken[m, n])
+      report = verify_vanishing_bound(range(1, 3), range(1, 3))
+    want = old_vanishing_cases(range(1, 3), range(1, 3), 100, 0, 1 << 16, step)
+    assert [c.witness for c in report.cases] == want
+    assert all(c.observed is None or c.observed['mode'] == 'exhaustive'
+               for c in report.cases)
+
+  @settings(max_examples=40, deadline=None)
+  @given(st.integers(0, 2 ** 32), st.integers(1, 20))
+  def test_sampled_vanishing_witness_matches_sample_loop(self, seed, samples):
+    # A broken step that keeps states whose first two entries are equal
+    # and odd, and zeroes the rest.
+    def keeps(first, second):
+      return (first == second) & (first % 2 == 1)
+
+    def batch_step(states, m):
+      return states * keeps(states[:, :1], states[:, 1:2])
+
+    def step(u, m):
+      return u if keeps(u[0], u[1]) else (0,) * len(u)
+
+    with pytest.MonkeyPatch.context() as patch:
+      patch.setattr(_statespace, 'batch_step', batch_step)
+      report = verify_vanishing_bound(range(1, 3), range(1, 4),
+                                      samples=samples, seed=seed,
+                                      exhaustive_limit=0)
+    want = old_vanishing_cases(range(1, 3), range(1, 4), samples, seed, 0,
+                               step)
+    got = [c.witness for c in report.cases]
+    # All samples of a case are drawn even after a failing one, so the
+    # seeded stream agrees with the former loop up to the first fail.
+    first_fail = next((i for i, w in enumerate(want) if w), len(want))
+    assert got[:first_fail + 1] == want[:first_fail + 1]
+    assert all(c.observed['mode'] == 'sampled'
+               for c in report.cases[:first_fail])

@@ -210,6 +210,71 @@ class TestReports:
     assert len(set(len(line) for line in lines)) <= 2  # aligned columns
 
 
+# --- closure against a generating set -----------------------------------
+
+def span_oracle(gens, m, n):
+  '''Codes of the subgroup generated by the given codes, by search.'''
+  rows = [tuple(row) for row in
+          _statespace.digits(np.array(gens, dtype=np.int64), m, n).tolist()]
+  seen, todo = {(0,) * n}, [(0,) * n]
+  while todo:
+    u = todo.pop()
+    for g in rows:
+      v = tuple((a + b) % m for a, b in zip(u, g))
+      if v not in seen:
+        seen.add(v)
+        todo.append(v)
+  return sorted(_statespace.encode(u, m) for u in seen)
+
+
+def pairwise_closed(codes, m, n):
+  rows = _statespace.digits(np.array(codes, dtype=np.int64), m, n).tolist()
+  members = set(codes)
+  return all(_statespace.encode([(a + b) % m for a, b in zip(u, v)], m)
+             in members for u in rows for v in rows)
+
+
+@st.composite
+def sets_holding_zero(draw):
+  '''(m, n, ascending codes) in a Z_m^n of at most 64 states: a random
+  subgroup, one with a member added or removed, or any set holding 0.'''
+  m, n = draw(st.sampled_from([(m, n) for m in range(2, 7)
+                               for n in range(1, 7) if m ** n <= 64]))
+  code = st.integers(0, m ** n - 1)
+  kind = draw(st.sampled_from(['subgroup', 'added', 'removed', 'any']))
+  if kind == 'any':
+    return m, n, sorted({0, *draw(st.lists(code, max_size=20))})
+  members = span_oracle(draw(st.lists(code, max_size=3)), m, n)
+  if kind == 'added' and len(members) < m ** n:
+    members.append(draw(code.filter(lambda c: c not in members)))
+  if kind == 'removed' and len(members) > 1:
+    members.remove(draw(st.sampled_from(members[1:])))
+  return m, n, sorted(members)
+
+
+class TestClosure:
+  @settings(max_examples=300, deadline=None)
+  @given(sets_holding_zero())
+  def test_generators_match_pairwise_scan(self, case):
+    m, n, codes = case
+    codes = np.array(codes, dtype=np.int64)
+    gens = _statespace.closure_generators(
+      codes, _statespace.digits(codes, m, n), m)
+    assert (gens is not None) == pairwise_closed(codes.tolist(), m, n)
+    if gens is not None:
+      assert span_oracle(gens, m, n) == codes.tolist()
+      assert len(gens) <= len(codes).bit_length() - 1
+
+  @pytest.mark.parametrize('m,n', DEFAULT_SYSTEMS)
+  def test_at_most_log2_generators(self, m, n):
+    # The pass count that replaced the |K|^2 pair scan, pinned without a
+    # wall-clock bound: each generator at least doubles the span.
+    codes, rows = _statespace.kernel_codes(m, n)
+    gens = _statespace.closure_generators(codes, rows, m)
+    assert gens is not None
+    assert len(gens) <= len(codes).bit_length() - 1
+
+
 # --- failure paths against the former per-pair and per-state loops ---------
 #
 # The pair-sum map never breaks these claims, so each test feeds a broken
@@ -303,32 +368,9 @@ def old_vanishing_cases(k_range, l_range, samples, seed, exhaustive_limit,
   return cases
 
 
-@st.composite
-def broken_kernels(draw):
-  '''(m, n, ascending codes holding 0) in a Z_m^n of at most 64 states:
-  a random subgroup with a member added or removed, or any set.'''
-  m, n = draw(st.sampled_from([(m, n) for m in range(2, 7)
-                               for n in range(1, 7) if m ** n <= 64]))
-  code = st.integers(1, m ** n - 1) if m ** n > 1 else st.just(0)
-  members = {0, *draw(st.lists(code, max_size=12))}
-  if draw(st.booleans()):     # close it up, then break it by one member
-    rows = _statespace.digits(np.array(sorted(members)), m, n)
-    while True:
-      sums = (rows[:, None] + rows[None]) % m
-      grown = {0, *(sums.reshape(-1, n) @ m ** np.arange(n - 1, -1, -1))
-               .tolist()}
-      if grown == members:
-        break
-      members = grown
-      rows = _statespace.digits(np.array(sorted(members)), m, n)
-    toggled = draw(code)
-    members ^= {toggled} if toggled else set()
-  return m, n, sorted(members)
-
-
 class TestFailurePaths:
   @settings(max_examples=300, deadline=None)
-  @given(broken_kernels())
+  @given(sets_holding_zero())
   def test_subgroup_witness_matches_pairwise_scan(self, case):
     m, n, members = case
     codes = np.array(members, dtype=np.int64)

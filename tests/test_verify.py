@@ -157,6 +157,17 @@ class TestRunner:
     text = reports_to_jsonl(run_checks(seed=seed))
     assert hashlib.sha256(text.encode()).hexdigest() == sha256
 
+  def test_narrow_sweep_jsonl_is_pinned(self):
+    # Ranges starting at 0 reach every check's hypothesis skip (sum1's
+    # per-k {'k': 0} case included), and a cap of 64 states reaches the
+    # cap skips of kernel, subgroup and preds; the default sweeps reach
+    # none of these.
+    text = reports_to_jsonl(run_checks(
+      k_min=0, k_max=2, l_min=0, l_max=3, j_min=0, j_max=3, n_max=3,
+      systems=[(2, 3), (3, 2), (6, 8)], samples=5, seed=3, max_states=64))
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+      '66a1effc0210e2e0be528b490db842b31062e7b5eb559bf4c5212d545a9b315f')
+
 
 class TestReports:
   FAIL_CASE = CaseResult({'k': 1}, 'fail', witness={'state': [1, 0]})

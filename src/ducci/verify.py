@@ -30,6 +30,15 @@ Checked claims, with their check ids:
   half_modulus_pivot     a(l*2^(k-1), l*2^(k-2) + 1) is exactly
                          2^(l-1) mod 2^l, needs l >= 2 and k >= 2
 
+Every check is one case function run by `_sweep`.  A case takes one
+parameter combination as keywords and returns (verdict, detail): the
+observed values on a pass, the witness on a fail, the reason on a skip.
+`_sweep` times the sweep, builds the `CaseResult`s and turns a
+`CapExceededError` raised by any case into a `cap:` skip.  `run_checks`
+reaches the checks through `_CHECKS`, one row per CLI name with that
+check's default ranges.  Adding a check means one case function and
+one row.
+
 State-space checks are numpy passes on integer state codes: closure
 against a greedy generating set of the kernel, the vanishing bound as
 a power of the successor array, predecessor families by a stable sort
@@ -44,12 +53,13 @@ import json
 import random
 import time
 from dataclasses import dataclass, field
+from types import SimpleNamespace
 
 import numpy as np
 
 from . import _statespace
 from .coeffs import binom_mod_pow2, binom_mod_pow2_range, coeff_at
-from .core import DucciSystem, _step, basic_tuple, make_system
+from .core import _step, basic_tuple, make_system
 from .errors import CapExceededError
 from .limits import ENUM_NODE_CAP, ORBIT_VISIT_CAP
 from .orbits import basic_len_per
@@ -116,8 +126,21 @@ class CheckReport:
     return obj
 
 
-def _finish(check_id: str, parameters: dict, cases: list[CaseResult],
-            started: float) -> CheckReport:
+# The CaseResult field that holds a case's detail, by verdict.
+_DETAIL_FIELD = {'pass': 'observed', 'fail': 'witness', 'skip': 'reason'}
+
+
+def _sweep(check_id: str, parameters: dict, grid, case) -> CheckReport:
+  '''Run `case(**params)` for each params dict of `grid`, in order.'''
+  started = time.perf_counter()
+  cases = []
+  for params in grid:
+    try:
+      verdict, detail = case(**params)
+    except CapExceededError as exc:
+      verdict, detail = 'skip', f'cap: {exc}'
+    cases.append(CaseResult(params, verdict,
+                            **{_DETAIL_FIELD[verdict]: detail}))
   counterexample = None
   if any(c.verdict == 'fail' for c in cases):
     verdict = 'fail'
@@ -132,12 +155,14 @@ def _finish(check_id: str, parameters: dict, cases: list[CaseResult],
                      tuple(cases), time.perf_counter() - started)
 
 
-def _range_param(rng) -> list[int]:
-  return list(rng)
+def _kl_sweep(check_id: str, k_range, l_range, case, **extra) -> CheckReport:
+  '''`_sweep` over every (k, l), k outermost; `extra` joins the report's
+  parameters after the two ranges.'''
+  return _sweep(check_id, {'k': list(k_range), 'l': list(l_range), **extra},
+                [{'k': k, 'l': l} for k in k_range for l in l_range], case)
 
 
-def _pow2_system(k: int, l: int) -> DucciSystem:
-  return make_system(2 ** l, 2 ** k)
+_NEEDS_K1_L1 = ('skip', 'hypothesis: needs k >= 1 and l >= 1')
 
 
 # --- orbit-side checks -------------------------------------------------
@@ -145,58 +170,32 @@ def _pow2_system(k: int, l: int) -> DucciSystem:
 def verify_length_formula(k_range=range(1, 6), l_range=range(1, 7), *,
                           max_states: int = ORBIT_VISIT_CAP) -> CheckReport:
   '''Basic pre-period and period of Z_{2^l}^{2^k}: ((l+1)*2^(k-1), 1).'''
-  started = time.perf_counter()
-  cases = []
-  for k in k_range:
-    for l in l_range:
-      params = {'k': k, 'l': l}
-      if k < 1 or l < 1:
-        cases.append(CaseResult(params, 'skip',
-                                reason='hypothesis: needs k >= 1 and l >= 1'))
-        continue
-      want = ((l + 1) * 2 ** (k - 1), 1)
-      try:
-        got = basic_len_per(_pow2_system(k, l), max_states=max_states)
-      except CapExceededError as exc:
-        cases.append(CaseResult(params, 'skip', reason=f'cap: {exc}'))
-        continue
-      if got == want:
-        cases.append(CaseResult(params, 'pass',
-                                observed={'len': got[0], 'per': got[1]}))
-      else:
-        cases.append(CaseResult(
-          params, 'fail', witness={'expected': list(want),
-                                   'observed': list(got)}))
-  return _finish('length_formula',
-                 {'k': _range_param(k_range), 'l': _range_param(l_range)},
-                 cases, started)
+  def case(k, l):
+    if k < 1 or l < 1:
+      return _NEEDS_K1_L1
+    want = ((l + 1) * 2 ** (k - 1), 1)
+    got = basic_len_per(make_system(2 ** l, 2 ** k), max_states=max_states)
+    if got != want:
+      return 'fail', {'expected': list(want), 'observed': list(got)}
+    return 'pass', {'len': got[0], 'per': got[1]}
+  return _kl_sweep('length_formula', k_range, l_range, case)
 
 
 def verify_length_lower_bound(k_range=range(1, 6),
                               l_range=range(1, 7)) -> CheckReport:
   '''One step before the formula value the basic iterate is nonzero.'''
-  started = time.perf_counter()
-  cases = []
-  for k in k_range:
-    for l in l_range:
-      params = {'k': k, 'l': l}
-      if k < 1 or l < 1:
-        cases.append(CaseResult(params, 'skip',
-                                reason='hypothesis: needs k >= 1 and l >= 1'))
-        continue
-      sys = _pow2_system(k, l)
-      steps = (l + 1) * 2 ** (k - 1) - 1
-      cur = basic_tuple(sys)
-      for _ in range(steps):
-        cur = _step(cur, sys.m)
-      if any(cur):
-        cases.append(CaseResult(params, 'pass', observed={'steps': steps}))
-      else:
-        cases.append(CaseResult(params, 'fail',
-                                witness={'steps': steps, 'iterate': 'zero'}))
-  return _finish('length_lower_bound',
-                 {'k': _range_param(k_range), 'l': _range_param(l_range)},
-                 cases, started)
+  def case(k, l):
+    if k < 1 or l < 1:
+      return _NEEDS_K1_L1
+    sys = make_system(2 ** l, 2 ** k)
+    steps = (l + 1) * 2 ** (k - 1) - 1
+    cur = basic_tuple(sys)
+    for _ in range(steps):
+      cur = _step(cur, sys.m)
+    if not any(cur):
+      return 'fail', {'steps': steps, 'iterate': 'zero'}
+    return 'pass', {'steps': steps}
+  return _kl_sweep('length_lower_bound', k_range, l_range, case)
 
 
 def verify_vanishing_bound(k_range=range(1, 6), l_range=range(1, 7), *,
@@ -208,149 +207,97 @@ def verify_vanishing_bound(k_range=range(1, 6), l_range=range(1, 7), *,
   most `exhaustive_limit` states; seeded samples stepped together
   otherwise.  Also asserts the formula value never exceeds this bound.
   '''
-  started = time.perf_counter()
   rng = random.Random(seed)
-  cases = []
-  for k in k_range:
-    for l in l_range:
-      params = {'k': k, 'l': l}
-      if k < 1 or l < 1:
-        cases.append(CaseResult(params, 'skip',
-                                reason='hypothesis: needs k >= 1 and l >= 1'))
-        continue
-      sys = _pow2_system(k, l)
-      bound = l * 2 ** k
-      formula = (l + 1) * 2 ** (k - 1)
-      if formula > bound:
-        cases.append(CaseResult(params, 'fail',
-                                witness={'formula': formula, 'bound': bound}))
-        continue
-      if sys.state_count <= exhaustive_limit:
-        succ = _statespace.successor_array(sys.m, sys.n, exhaustive_limit)
-        bad = np.flatnonzero(_statespace.successor_power(succ, bound))[:1]
-        bad_states = _statespace.digits(bad, sys.m, sys.n)
-        observed = {'bound': bound, 'states': sys.state_count,
-                    'mode': 'exhaustive'}
-      else:
-        draws = [rng.randrange(sys.m) for _ in range(samples * sys.n)]
-        states = np.array(draws, dtype=np.int64).reshape(samples, sys.n)
-        final = _statespace.batch_iter(states, sys.m, bound)
-        bad_states = states[final.any(axis=1)]
-        observed = {'bound': bound, 'samples': samples, 'mode': 'sampled'}
-      if len(bad_states):
-        cases.append(CaseResult(params, 'fail',
-                                witness={'state': bad_states[0].tolist(),
-                                         'bound': bound}))
-      else:
-        cases.append(CaseResult(params, 'pass', observed=observed))
-  return _finish('vanishing_bound',
-                 {'k': _range_param(k_range), 'l': _range_param(l_range),
-                  'samples': samples, 'seed': seed},
-                 cases, started)
+
+  def case(k, l):
+    if k < 1 or l < 1:
+      return _NEEDS_K1_L1
+    sys = make_system(2 ** l, 2 ** k)
+    bound = l * 2 ** k
+    formula = (l + 1) * 2 ** (k - 1)
+    if formula > bound:
+      return 'fail', {'formula': formula, 'bound': bound}
+    if sys.state_count <= exhaustive_limit:
+      succ = _statespace.successor_array(sys.m, sys.n, exhaustive_limit)
+      bad = np.flatnonzero(_statespace.successor_power(succ, bound))[:1]
+      bad_states = _statespace.digits(bad, sys.m, sys.n)
+      observed = {'bound': bound, 'states': sys.state_count,
+                  'mode': 'exhaustive'}
+    else:
+      draws = [rng.randrange(sys.m) for _ in range(samples * sys.n)]
+      states = np.array(draws, dtype=np.int64).reshape(samples, sys.n)
+      final = _statespace.batch_iter(states, sys.m, bound)
+      bad_states = states[final.any(axis=1)]
+      observed = {'bound': bound, 'samples': samples, 'mode': 'sampled'}
+    if len(bad_states):
+      return 'fail', {'state': bad_states[0].tolist(), 'bound': bound}
+    return 'pass', observed
+  return _kl_sweep('vanishing_bound', k_range, l_range, case,
+                   samples=samples, seed=seed)
 
 
 def verify_binary_length_formula(n_max: int = 16) -> CheckReport:
   '''In Z_2^n the basic pre-period is 2^v2(n) (1 for odd n).'''
-  started = time.perf_counter()
-  cases = []
-  for n in range(1, n_max + 1):
-    params = {'n': n}
+  def case(n):
     want = 1 << ((n & -n).bit_length() - 1)
     length, period = basic_len_per(make_system(2, n))
-    if length == want:
-      cases.append(CaseResult(params, 'pass',
-                              observed={'len': length, 'per': period}))
-    else:
-      cases.append(CaseResult(params, 'fail',
-                              witness={'expected': want, 'observed': length}))
-  return _finish('binary_length_formula', {'n_max': n_max}, cases, started)
+    if length != want:
+      return 'fail', {'expected': want, 'observed': length}
+    return 'pass', {'len': length, 'per': period}
+  return _sweep('binary_length_formula', {'n_max': n_max},
+                [{'n': n} for n in range(1, n_max + 1)], case)
 
 
 def verify_trivial_kernel(k_range=range(1, 6), l_range=range(1, 7), *,
                           max_states: int = ENUM_NODE_CAP) -> CheckReport:
   '''The only cycle state of Z_{2^l}^{2^k} is the zero tuple.'''
-  started = time.perf_counter()
-  cases = []
-  for k in k_range:
-    for l in l_range:
-      params = {'k': k, 'l': l}
-      if k < 1 or l < 1:
-        cases.append(CaseResult(params, 'skip',
-                                reason='hypothesis: needs k >= 1 and l >= 1'))
-        continue
-      sys = _pow2_system(k, l)
-      try:
-        codes, rows = _statespace.kernel_codes(sys.m, sys.n, max_states)
-      except CapExceededError as exc:
-        cases.append(CaseResult(params, 'skip', reason=f'cap: {exc}'))
-        continue
-      if codes.tolist() == [0]:
-        cases.append(CaseResult(params, 'pass',
-                                observed={'states': sys.state_count}))
-      else:
-        extra = rows[np.flatnonzero(codes)[0]]
-        cases.append(CaseResult(params, 'fail',
-                                witness={'cycle_state': extra.tolist(),
-                                         'order': len(codes)}))
-  return _finish('trivial_kernel',
-                 {'k': _range_param(k_range), 'l': _range_param(l_range)},
-                 cases, started)
+  def case(k, l):
+    if k < 1 or l < 1:
+      return _NEEDS_K1_L1
+    sys = make_system(2 ** l, 2 ** k)
+    codes, rows = _statespace.kernel_codes(sys.m, sys.n, max_states)
+    if codes.tolist() != [0]:
+      return 'fail', {'cycle_state': rows[np.flatnonzero(codes)[0]].tolist(),
+                      'order': len(codes)}
+    return 'pass', {'states': sys.state_count}
+  return _kl_sweep('trivial_kernel', k_range, l_range, case)
 
 
 def verify_cycle_subgroup(m: int, n: int, *,
                           max_states: int = ENUM_NODE_CAP) -> CheckReport:
   '''The kernel is a subgroup of Z_m^n, rotation- and scaling-closed,
-  and the pair-sum map permutes it.  Closure is tested against a greedy
-  generating set; a scan of member pairs then names an escaping pair.'''
-  started = time.perf_counter()
-  params = {'m': m, 'n': n}
-  sys = make_system(m, n)
-
-  def finish(case: CaseResult) -> CheckReport:
-    return _finish('cycle_subgroup', params, [case], started)
-
-  try:
+  and the pair-sum map permutes it.  Closure under + is tested against
+  a greedy generating set; a scan of member pairs then names an
+  escaping pair.  A finite set that holds 0 and is closed under + is a
+  subgroup: -u and lam * u are sums of copies of u, so negation and
+  scaling need no pass of their own.'''
+  def case(m, n):
+    sys = make_system(m, n)
     codes, mat = _statespace.kernel_codes(m, n, max_states)
-  except CapExceededError as exc:
-    return finish(CaseResult(params, 'skip', reason=f'cap: {exc}'))
-
-  weights = np.array([m ** (n - 1 - i) for i in range(n)], dtype=np.int64)
-  mask = np.zeros(sys.state_count, dtype=bool)
-  mask[codes] = True
-
-  def fail(kind: str, **extra) -> CheckReport:
-    witness = {'violation': kind}
-    witness.update(extra)
-    return finish(CaseResult(params, 'fail', witness=witness))
-
-  if codes[0] != 0:
-    return fail('identity_missing')
-  if _statespace.closure_generators(codes, mat, m) is None:
-    for pos, row in enumerate(mat):
-      inside = mask[((mat + row) % m) @ weights]
+    weights = np.array([m ** (n - 1 - i) for i in range(n)], dtype=np.int64)
+    mask = np.zeros(sys.state_count, dtype=bool)
+    mask[codes] = True
+    if codes[0] != 0:
+      return 'fail', {'violation': 'identity_missing'}
+    if _statespace.closure_generators(codes, mat, m) is None:
+      for pos, row in enumerate(mat):
+        inside = mask[((mat + row) % m) @ weights]
+        if not inside.all():
+          return 'fail', {'violation': 'sum_escapes', 'u': mat[pos].tolist(),
+                          'v': mat[int(np.argmax(~inside))].tolist()}
+    rotated = np.roll(mat, -1, axis=1)
+    image = ((mat + rotated) % m) @ weights
+    for kind, targets in (('rotation_escapes', rotated @ weights),
+                          ('image_escapes', image)):
+      inside = mask[targets]
       if not inside.all():
-        other = int(np.argmax(~inside))
-        return fail('sum_escapes', u=mat[pos].tolist(), v=mat[other].tolist())
-  inside = mask[((-mat) % m) @ weights]
-  if not inside.all():
-    return fail('inverse_escapes',
-                u=mat[int(np.argmax(~inside))].tolist())
-  for lam in range(m):
-    inside = mask[((mat * lam) % m) @ weights]
-    if not inside.all():
-      return fail('scale_escapes', lam=lam,
-                  u=mat[int(np.argmax(~inside))].tolist())
-  inside = mask[np.roll(mat, -1, axis=1) @ weights]
-  if not inside.all():
-    return fail('rotation_escapes',
-                u=mat[int(np.argmax(~inside))].tolist())
-  image = ((mat + np.roll(mat, -1, axis=1)) % m) @ weights
-  if not mask[image].all():
-    return fail('image_escapes',
-                u=mat[int(np.argmax(~mask[image]))].tolist())
-  if np.unique(image).size != codes.size:
-    return fail('image_not_injective')
-  return finish(CaseResult(params, 'pass', observed={'order': codes.size}))
+        return 'fail', {'violation': kind,
+                        'u': mat[int(np.argmax(~inside))].tolist()}
+    if np.unique(image).size != codes.size:
+      return 'fail', {'violation': 'image_not_injective'}
+    return 'pass', {'order': codes.size}
+  params = {'m': m, 'n': n}
+  return _sweep('cycle_subgroup', params, [params], case)
 
 
 def verify_predecessor_count(m: int, n: int, *,
@@ -358,42 +305,30 @@ def verify_predecessor_count(m: int, n: int, *,
   '''For even n: every state has 0 or exactly m predecessors, and the
   predecessors of a state form one translation family
   (y_1 + z, y_2 - z, ..., y_{n-1} + z, y_n - z) for z in 0..m-1.'''
-  started = time.perf_counter()
-  params = {'m': m, 'n': n}
-  sys = make_system(m, n)
-
-  def finish(case: CaseResult) -> CheckReport:
-    return _finish('predecessor_count', params, [case], started)
-
-  if n % 2 == 1:
-    return finish(CaseResult(params, 'skip',
-                             reason='hypothesis: n must be even'))
-  try:
+  def case(m, n):
+    sys = make_system(m, n)
+    if n % 2 == 1:
+      return 'skip', 'hypothesis: n must be even'
     succ = _statespace.successor_array(m, n, max_states)
-  except CapExceededError as exc:
-    return finish(CaseResult(params, 'skip', reason=f'cap: {exc}'))
-  indeg = np.bincount(succ, minlength=sys.state_count)
-  bad = np.nonzero((indeg != 0) & (indeg != m))[0]
-  if bad.size:
-    state = _statespace.digits(bad[:1], m, n)[0].tolist()
-    return finish(CaseResult(params, 'fail',
-                             witness={'state': state,
-                                      'count': int(indeg[bad[0]])}))
-  # In-degrees are 0 or m, so a stable sort of the successor array puts
-  # each target's predecessors in one row (m codes, ascending).
-  preds = np.argsort(succ, kind='stable').reshape(-1, m)
-  base = _statespace.digits(preds[:, 0], m, n)
-  alt = np.where(np.arange(n) % 2 == 0, 1, m - 1)
-  weights = m ** np.arange(n - 1, -1, -1, dtype=np.int64)
-  family = np.sort([((base + z * alt) % m) @ weights for z in range(m)], 0)
-  bad = np.flatnonzero((family != preds.T).any(axis=0))
-  if bad.size:
-    state = _statespace.digits(succ[preds[bad[:1], 0]], m, n)[0].tolist()
-    return finish(CaseResult(params, 'fail',
-                             witness={'state': state, 'count': m}))
-  return finish(CaseResult(
-    params, 'pass',
-    observed={'states': sys.state_count, 'with_preds': len(preds)}))
+    indeg = np.bincount(succ, minlength=sys.state_count)
+    bad = np.nonzero((indeg != 0) & (indeg != m))[0]
+    if bad.size:
+      return 'fail', {'state': _statespace.digits(bad[:1], m, n)[0].tolist(),
+                      'count': int(indeg[bad[0]])}
+    # In-degrees are 0 or m, so a stable sort of the successor array puts
+    # each target's predecessors in one row (m codes, ascending).
+    preds = np.argsort(succ, kind='stable').reshape(-1, m)
+    base = _statespace.digits(preds[:, 0], m, n)
+    alt = np.where(np.arange(n) % 2 == 0, 1, m - 1)
+    weights = m ** np.arange(n - 1, -1, -1, dtype=np.int64)
+    family = np.sort([((base + z * alt) % m) @ weights for z in range(m)], 0)
+    bad = np.flatnonzero((family != preds.T).any(axis=0))
+    if bad.size:
+      state = _statespace.digits(succ[preds[bad[:1], 0]], m, n)[0].tolist()
+      return 'fail', {'state': state, 'count': m}
+    return 'pass', {'states': sys.state_count, 'with_preds': len(preds)}
+  params = {'m': m, 'n': n}
+  return _sweep('predecessor_count', params, [params], case)
 
 
 # --- congruence checks -------------------------------------------------
@@ -402,162 +337,133 @@ def verify_binomial_congruences(j_range=range(2, 17)) -> CheckReport:
   '''Row-2^j binomial congruences: the central cell is 2 mod 4 and
   6 mod 8, every other inner cell is 0 mod 4; row 2^j - 1 is odd
   everywhere with central cell 3 mod 4.'''
-  started = time.perf_counter()
-  cases = []
-  for j in j_range:
-    params = {'j': j}
+  def case(j):
     if j < 2:
-      cases.append(CaseResult(params, 'skip',
-                              reason='hypothesis: j must be >= 2'))
-      continue
+      return 'skip', 'hypothesis: j must be >= 2'
     big, half = 2 ** j, 2 ** (j - 1)
     observed = {
       'center_mod4': binom_mod_pow2(big, half, 2),
       'center_mod8': binom_mod_pow2(big, half, 3),
       'odd_center_mod4': binom_mod_pow2(big - 1, half, 2),
     }
-    witness = None
     if observed['center_mod4'] != 2:
-      witness = {'cell': [big, half], 'mod4': observed['center_mod4']}
-    elif observed['center_mod8'] != 6:
-      witness = {'cell': [big, half], 'mod8': observed['center_mod8']}
-    elif observed['odd_center_mod4'] != 3:
-      witness = {'cell': [big - 1, half],
-                 'mod4': observed['odd_center_mod4']}
-    if witness is None:
-      row = binom_mod_pow2_range(big, 2)
-      row[0] = row[half] = row[big] = 0
-      nonzero = np.nonzero(row)[0]
-      if nonzero.size:
-        witness = {'cell': [big, int(nonzero[0])],
-                   'mod4': int(row[nonzero[0]])}
-    if witness is None:
-      odd_row = binom_mod_pow2_range(big - 1, 1)
-      even_cells = np.nonzero(odd_row != 1)[0]
-      if even_cells.size:
-        witness = {'cell': [big - 1, int(even_cells[0])], 'mod2': 0}
-    if witness is None:
-      cases.append(CaseResult(params, 'pass', observed=observed))
-    else:
-      cases.append(CaseResult(params, 'fail', witness=witness))
-  return _finish('binomial_congruences', {'j': _range_param(j_range)},
-                 cases, started)
-
-
-def _working_table_modulus(l_range) -> int:
-  values = list(l_range)
-  return max(values) if values else 1
+      return 'fail', {'cell': [big, half], 'mod4': observed['center_mod4']}
+    if observed['center_mod8'] != 6:
+      return 'fail', {'cell': [big, half], 'mod8': observed['center_mod8']}
+    if observed['odd_center_mod4'] != 3:
+      return 'fail', {'cell': [big - 1, half],
+                      'mod4': observed['odd_center_mod4']}
+    row = binom_mod_pow2_range(big, 2)
+    row[0] = row[half] = row[big] = 0
+    nonzero = np.nonzero(row)[0]
+    if nonzero.size:
+      return 'fail', {'cell': [big, int(nonzero[0])],
+                      'mod4': int(row[nonzero[0]])}
+    even_cells = np.nonzero(binom_mod_pow2_range(big - 1, 1) != 1)[0]
+    if even_cells.size:
+      return 'fail', {'cell': [big - 1, int(even_cells[0])], 'mod2': 0}
+    return 'pass', observed
+  return _sweep('binomial_congruences', {'j': list(j_range)},
+                [{'j': j} for j in j_range], case)
 
 
 def verify_coeff_pair_sum1(k_range=range(1, 7),
                            l_range=range(1, 7)) -> CheckReport:
   '''Columns half a turn apart sum to 0 mod 2^l on row l * 2^(k-1).'''
-  started = time.perf_counter()
-  work_l = _working_table_modulus(l_range)
-  cases = []
-  for k in k_range:
+  work_l = max(l_range, default=1)
+
+  def case(k, l=None):
     if k < 1:
-      cases.append(CaseResult({'k': k}, 'skip',
-                              reason='hypothesis: k must be >= 1'))
-      continue
+      return 'skip', 'hypothesis: k must be >= 1'
     sys = make_system(2 ** work_l, 2 ** k)
     half = 2 ** (k - 1)
-    for l in l_range:
-      params = {'k': k, 'l': l}
-      mod = 1 << l
-      row = l * half
-      witness = None
-      for s in range(1, 2 ** k + 1):
-        a, b = coeff_at(sys, row, s), coeff_at(sys, row, s - half)
-        if (a + b) % mod:
-          witness = {'row': row, 's': s, 'cells': [a % mod, b % mod]}
-          break
-      if witness is None:
-        cases.append(CaseResult(params, 'pass', observed={'row': row}))
-      else:
-        cases.append(CaseResult(params, 'fail', witness=witness))
-  return _finish('coeff_pair_sum1',
-                 {'k': _range_param(k_range), 'l': _range_param(l_range)},
-                 cases, started)
+    mod, row = 1 << l, l * half
+    for s in range(1, 2 ** k + 1):
+      a, b = coeff_at(sys, row, s), coeff_at(sys, row, s - half)
+      if (a + b) % mod:
+        return 'fail', {'row': row, 's': s, 'cells': [a % mod, b % mod]}
+    return 'pass', {'row': row}
+  # A k outside the hypothesis is one case for every l.
+  grid = [params for k in k_range
+          for params in ([{'k': k}] if k < 1
+                         else [{'k': k, 'l': l} for l in l_range])]
+  return _sweep('coeff_pair_sum1', {'k': list(k_range), 'l': list(l_range)},
+                grid, case)
 
 
 def verify_coeff_pair_sum2(k_range=range(2, 7),
                            l_range=range(3, 7)) -> CheckReport:
   '''Two chosen cells of row (l-1) * 2^(k-1) sum to 0 mod 2^l;
   hypotheses l >= 3 and k >= 2.'''
-  started = time.perf_counter()
-  work_l = _working_table_modulus(l_range)
-  cases = []
-  for k in k_range:
-    for l in l_range:
-      params = {'k': k, 'l': l}
-      if l < 3 or k < 2:
-        cases.append(CaseResult(params, 'skip',
-                                reason='hypothesis: needs l >= 3 and k >= 2'))
-        continue
-      sys = make_system(2 ** max(work_l, l), 2 ** k)
-      mod = 1 << l
-      row = (l - 1) * 2 ** (k - 1)
-      s1 = l * 2 ** (k - 2) + 1
-      s2 = l * 2 ** (k - 2) - 2 ** (k - 1) + 1
-      a, b = coeff_at(sys, row, s1), coeff_at(sys, row, s2)
-      if (a + b) % mod:
-        cases.append(CaseResult(
-          params, 'fail',
-          witness={'row': row, 'columns': [s1, s2],
-                   'cells': [a % mod, b % mod]}))
-      else:
-        cases.append(CaseResult(params, 'pass',
-                                observed={'row': row, 'columns': [s1, s2]}))
-  return _finish('coeff_pair_sum2',
-                 {'k': _range_param(k_range), 'l': _range_param(l_range)},
-                 cases, started)
+  work_l = max(l_range, default=1)
+
+  def case(k, l):
+    if l < 3 or k < 2:
+      return 'skip', 'hypothesis: needs l >= 3 and k >= 2'
+    sys = make_system(2 ** work_l, 2 ** k)
+    mod = 1 << l
+    row = (l - 1) * 2 ** (k - 1)
+    s1 = l * 2 ** (k - 2) + 1
+    s2 = l * 2 ** (k - 2) - 2 ** (k - 1) + 1
+    a, b = coeff_at(sys, row, s1), coeff_at(sys, row, s2)
+    if (a + b) % mod:
+      return 'fail', {'row': row, 'columns': [s1, s2],
+                      'cells': [a % mod, b % mod]}
+    return 'pass', {'row': row, 'columns': [s1, s2]}
+  return _kl_sweep('coeff_pair_sum2', k_range, l_range, case)
 
 
 def verify_half_modulus_pivot(k_range=range(2, 7),
                               l_range=range(2, 7)) -> CheckReport:
   '''a(l * 2^(k-1), l * 2^(k-2) + 1) is exactly 2^(l-1) mod 2^l;
   hypotheses l >= 2 and k >= 2.'''
-  started = time.perf_counter()
-  work_l = _working_table_modulus(l_range)
-  cases = []
-  for k in k_range:
-    for l in l_range:
-      params = {'k': k, 'l': l}
-      if l < 2 or k < 2:
-        cases.append(CaseResult(params, 'skip',
-                                reason='hypothesis: needs l >= 2 and k >= 2'))
-        continue
-      sys = make_system(2 ** max(work_l, l), 2 ** k)
-      row = l * 2 ** (k - 1)
-      col = l * 2 ** (k - 2) + 1
-      value = coeff_at(sys, row, col) % (1 << l)
-      if value == 1 << (l - 1):
-        cases.append(CaseResult(params, 'pass',
-                                observed={'row': row, 'col': col,
-                                          'value': value}))
-      else:
-        cases.append(CaseResult(params, 'fail',
-                                witness={'row': row, 'col': col,
-                                         'value': value,
-                                         'expected': 1 << (l - 1)}))
-  return _finish('half_modulus_pivot',
-                 {'k': _range_param(k_range), 'l': _range_param(l_range)},
-                 cases, started)
+  work_l = max(l_range, default=1)
+
+  def case(k, l):
+    if l < 2 or k < 2:
+      return 'skip', 'hypothesis: needs l >= 2 and k >= 2'
+    sys = make_system(2 ** work_l, 2 ** k)
+    row = l * 2 ** (k - 1)
+    col = l * 2 ** (k - 2) + 1
+    value = coeff_at(sys, row, col) % (1 << l)
+    if value != 1 << (l - 1):
+      return 'fail', {'row': row, 'col': col, 'value': value,
+                      'expected': 1 << (l - 1)}
+    return 'pass', {'row': row, 'col': col, 'value': value}
+  return _kl_sweep('half_modulus_pivot', k_range, l_range, case)
 
 
 # --- the runner --------------------------------------------------------
 
-CHECK_NAMES = ('main', 'lower', 'bound', 'l2', 'kernel', 'subgroup',
-               'preds', 'binom', 'sum1', 'sum2', 'pivot')
+# CLI name -> the reports of that check, given run_checks' arguments as
+# `a`; a.k(lo, hi) is the k range with defaults lo..hi (a.l, a.j alike).
+# Each row names its check inside the lambda, so the check is looked up
+# on this module at call time and a rebound verify_* (a tracer's
+# wrapper, say) is the one that runs.
+_CHECKS = {
+  'main': lambda a: [verify_length_formula(a.k(1, 5), a.l(1, 6))],
+  'lower': lambda a: [verify_length_lower_bound(a.k(1, 5), a.l(1, 6))],
+  'bound': lambda a: [verify_vanishing_bound(
+    a.k(1, 5), a.l(1, 6), samples=a.samples, seed=a.seed)],
+  'l2': lambda a: [verify_binary_length_formula(
+    16 if a.n_max is None else a.n_max)],
+  'kernel': lambda a: [verify_trivial_kernel(
+    a.k(1, 5), a.l(1, 6), max_states=a.max_states)],
+  'subgroup': lambda a: [verify_cycle_subgroup(m, n, max_states=a.max_states)
+                         for m, n in a.systems],
+  'preds': lambda a: [verify_predecessor_count(m, n,
+                                               max_states=a.max_states)
+                      for m, n in a.systems],
+  'binom': lambda a: [verify_binomial_congruences(a.j(2, 16))],
+  'sum1': lambda a: [verify_coeff_pair_sum1(a.k(1, 6), a.l(1, 6))],
+  'sum2': lambda a: [verify_coeff_pair_sum2(a.k(2, 6), a.l(3, 6))],
+  'pivot': lambda a: [verify_half_modulus_pivot(a.k(2, 6), a.l(2, 6))],
+}
+
+CHECK_NAMES = tuple(_CHECKS)
 
 DEFAULT_SYSTEMS = tuple(
   (m, n) for m in range(2, 7) for n in range(1, 9) if m ** n <= 1 << 16)
-
-
-def _bounded(lo, hi, default_lo, default_hi):
-  return range(default_lo if lo is None else lo,
-               (default_hi if hi is None else hi) + 1)
 
 
 def run_checks(names=None, *, k_min=None, k_max=None, l_min=None, l_max=None,
@@ -573,48 +479,20 @@ def run_checks(names=None, *, k_min=None, k_max=None, l_min=None, l_max=None,
   selected = list(names) if names else list(CHECK_NAMES)
   if 'all' in selected:
     selected = list(CHECK_NAMES)
-  unknown = [name for name in selected if name not in CHECK_NAMES]
+  unknown = [name for name in selected if name not in _CHECKS]
   if unknown:
     raise ValueError(f'unknown check names: {unknown}')
-  pairs = list(DEFAULT_SYSTEMS) if systems is None else list(systems)
-  reports: list[CheckReport] = []
-  for name in selected:
-    if name == 'main':
-      reports.append(verify_length_formula(
-        _bounded(k_min, k_max, 1, 5), _bounded(l_min, l_max, 1, 6)))
-    elif name == 'lower':
-      reports.append(verify_length_lower_bound(
-        _bounded(k_min, k_max, 1, 5), _bounded(l_min, l_max, 1, 6)))
-    elif name == 'bound':
-      reports.append(verify_vanishing_bound(
-        _bounded(k_min, k_max, 1, 5), _bounded(l_min, l_max, 1, 6),
-        samples=samples, seed=seed))
-    elif name == 'l2':
-      reports.append(verify_binary_length_formula(16 if n_max is None
-                                                  else n_max))
-    elif name == 'kernel':
-      reports.append(verify_trivial_kernel(
-        _bounded(k_min, k_max, 1, 5), _bounded(l_min, l_max, 1, 6),
-        max_states=max_states))
-    elif name == 'subgroup':
-      for m, n in pairs:
-        reports.append(verify_cycle_subgroup(m, n, max_states=max_states))
-    elif name == 'preds':
-      for m, n in pairs:
-        reports.append(verify_predecessor_count(m, n,
-                                                max_states=max_states))
-    elif name == 'binom':
-      reports.append(verify_binomial_congruences(
-        _bounded(j_min, j_max, 2, 16)))
-    elif name == 'sum1':
-      reports.append(verify_coeff_pair_sum1(
-        _bounded(k_min, k_max, 1, 6), _bounded(l_min, l_max, 1, 6)))
-    elif name == 'sum2':
-      reports.append(verify_coeff_pair_sum2(
-        _bounded(k_min, k_max, 2, 6), _bounded(l_min, l_max, 3, 6)))
-    elif name == 'pivot':
-      reports.append(verify_half_modulus_pivot(
-        _bounded(k_min, k_max, 2, 6), _bounded(l_min, l_max, 2, 6)))
+
+  def bounded(lo, hi):
+    return lambda default_lo, default_hi: range(
+      default_lo if lo is None else lo, (default_hi if hi is None else hi) + 1)
+
+  args = SimpleNamespace(
+    k=bounded(k_min, k_max), l=bounded(l_min, l_max),
+    j=bounded(j_min, j_max), n_max=n_max, samples=samples, seed=seed,
+    max_states=max_states,
+    systems=list(DEFAULT_SYSTEMS) if systems is None else list(systems))
+  reports = [report for name in selected for report in _CHECKS[name](args)]
   reports.sort(key=lambda r: (r.check_id,
                               json.dumps(r.parameters, sort_keys=True)))
   return reports

@@ -9,16 +9,24 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import ducci.verify
 from ducci import (_statespace, exit_code, reports_to_jsonl, run_checks,
                    summary_table)
-from ducci.verify import (CaseResult, CheckReport, DEFAULT_SYSTEMS,
-                          verify_binary_length_formula,
+from ducci.errors import CapExceededError
+from ducci.verify import (CHECK_NAMES, DEFAULT_SYSTEMS, CaseResult,
+                          CheckReport, verify_binary_length_formula,
                           verify_binomial_congruences, verify_coeff_pair_sum1,
                           verify_coeff_pair_sum2, verify_cycle_subgroup,
                           verify_half_modulus_pivot, verify_length_formula,
                           verify_length_lower_bound,
                           verify_predecessor_count, verify_trivial_kernel,
                           verify_vanishing_bound)
+
+# Check ids in the order of the CLI names that run them.
+CHECK_IDS = ('length_formula', 'length_lower_bound', 'vanishing_bound',
+             'binary_length_formula', 'trivial_kernel', 'cycle_subgroup',
+             'predecessor_count', 'binomial_congruences', 'coeff_pair_sum1',
+             'coeff_pair_sum2', 'half_modulus_pivot')
 
 
 class TestChecksPass:
@@ -106,13 +114,47 @@ class TestRunner:
   def test_runs_everything_by_default(self):
     reports = run_checks(systems=[(3, 2), (4, 2)], k_max=2, l_max=2,
                          j_max=4, n_max=4, samples=5)
-    ids = {r.check_id for r in reports}
-    assert ids == {'length_formula', 'length_lower_bound', 'vanishing_bound',
-                   'binary_length_formula', 'trivial_kernel',
-                   'cycle_subgroup', 'predecessor_count',
-                   'binomial_congruences', 'coeff_pair_sum1',
-                   'coeff_pair_sum2', 'half_modulus_pivot'}
+    assert {r.check_id for r in reports} == set(CHECK_IDS)
     assert exit_code(reports) == 0
+
+  def test_refused_walk_in_l2_is_a_cap_skip(self, monkeypatch):
+    # A refused walk must not abort the run: it is one cap skip.
+    walk = ducci.verify.basic_len_per
+
+    def refuse_n5(sys, **kwargs):
+      if sys.n == 5:
+        raise CapExceededError('walk refused', required=100, cap=10)
+      return walk(sys, **kwargs)
+
+    monkeypatch.setattr(ducci.verify, 'basic_len_per', refuse_n5)
+    reports = run_checks(systems=[(3, 2), (4, 2)], k_max=2, l_max=2,
+                         j_max=4, n_max=6, samples=5)
+    assert {r.check_id for r in reports} == set(CHECK_IDS)
+    (l2,) = [r for r in reports if r.check_id == 'binary_length_formula']
+    not_passed = [(c.params, c.verdict, c.reason) for c in l2.cases
+                  if c.verdict != 'pass']
+    assert not_passed == [({'n': 5}, 'skip', 'cap: walk refused')]
+    assert l2.verdict == 'pass'
+    assert exit_code(reports) == 3
+
+  def test_checks_are_called_through_the_module(self, monkeypatch):
+    # The benchmark traces a check by rebinding ducci.verify.verify_<id>;
+    # run_checks must call whatever that name holds when it runs.
+    called = []
+    for check_id in CHECK_IDS:
+      check = getattr(ducci.verify, f'verify_{check_id}')
+
+      def record(*args, _check=check, _id=check_id, **kwargs):
+        called.append(_id)
+        return _check(*args, **kwargs)
+
+      monkeypatch.setattr(ducci.verify, f'verify_{check_id}', record)
+    run_checks(systems=[(3, 2)], k_max=2, l_max=3, j_max=3, n_max=2,
+               samples=5)
+    assert called == list(CHECK_IDS)
+    assert CHECK_NAMES == ('main', 'lower', 'bound', 'l2', 'kernel',
+                           'subgroup', 'preds', 'binom', 'sum1', 'sum2',
+                           'pivot')
 
   def test_reports_are_sorted(self):
     reports = run_checks(['subgroup', 'main'], systems=[(4, 2), (3, 2)],

@@ -12,15 +12,23 @@ sum_s a(r, s-i+1) * x_s, so one table row evaluates D^r on any state
 without stepping.  Below the wrap (r < n) the table is plain Pascal:
 a(r, s) = C(r, s-1).
 
-Also here: binomial coefficients modulo powers of two, computed by
-carry counting (the power of two dividing C(N, K) is the number of
-carries when adding K and N-K in base 2) together with products of odd
-parts of factorials modulo 2^l.
+In Z_m[x]/(x^n - 1) row r is (1+x)^r, and D^r(u) is (1+x)^r times
+sum_s u_s x^(1-s) read at x^0, x^-1, ...; either is O(log r) cyclic
+convolutions by square-and-multiply, and no call keeps anything.
+`coeff_table` builds rows 0..r_max by the recurrence.
+
+Also here: C(N, K) mod 2^l.  The power of two dividing it is the number
+of carries when adding K and N-K in base 2.  Its odd part comes from
+odd parts of factorials, and the odd part of N! is the product of the
+odd t <= N times the odd part of (N >> 1)!: one lookup per bit of N in
+a table of odd-residue prefix products mod 2^l (Granville's reduction).
 '''
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
+from itertools import accumulate
 from typing import Sequence
 
 import numpy as np
@@ -35,24 +43,40 @@ __all__ = [
   'binom_mod_pow2', 'binom_mod_pow2_range',
 ]
 
-# Completed rows per (m, n), grown on demand and shared between calls.
-_ROW_CACHE: dict[tuple[int, int], list[ResidueTuple]] = {}
 
-
-def _rows(sys: DucciSystem, r_max: int) -> list[ResidueTuple]:
-  if not isinstance(r_max, int) or r_max < 0:
-    raise ParameterError(f'row index must be an integer >= 0, got {r_max!r}')
-  cells = (r_max + 1) * sys.n
+def _check_cells(cells: int, what: str = 'table') -> None:
   if cells > COEFF_CELL_CAP:
     raise CapExceededError(
-      f'table of {cells} cells exceeds the {COEFF_CELL_CAP}-cell cap',
+      f'{what} of {cells} cells exceeds the {COEFF_CELL_CAP}-cell cap',
       required=cells, cap=COEFF_CELL_CAP)
+
+
+def _check_row(sys: DucciSystem, r: int, name: str = 'row index') -> None:
+  # The cell cap also bounds the work of one row: each of its O(log r)
+  # convolutions multiplies n by at most min(r + 1, n) coefficients.
+  if not isinstance(r, int) or r < 0:
+    raise ParameterError(f'{name} must be an integer >= 0, got {r!r}')
+  _check_cells((r + 1) * sys.n)
+
+
+def _power(sys: DucciSystem, r: int, v: Sequence[int]) -> np.ndarray:
+  # (1+x)^r * v in Z_m[x]/(x^n - 1) by square-and-multiply.  A product
+  # cell sums at most n products of residues, so int64 is exact while
+  # n * (m-1)^2 < 2^63; larger moduli use Python ints.
   m, n = sys.m, sys.n
-  rows = _ROW_CACHE.setdefault((m, n), [(1 % m,) + (0,) * (n - 1)])
-  while len(rows) <= r_max:
-    prev = rows[-1]
-    rows.append(tuple((prev[s] + prev[s - 1]) % m for s in range(n)))
-  return rows
+  dtype = np.int64 if n * (m - 1) ** 2 < 1 << 63 else object
+
+  def times(a, b):  # a and b hold at most n coefficients each
+    full = np.convolve(a, b)
+    head, tail = full[:n], full[n:]
+    head[:len(tail)] += tail  # x^n = 1
+    return head % m
+  out = np.ones(1, dtype)
+  for bit in f'{r:b}':
+    out = times(out, out)
+    if bit == '1':
+      out = times(out, np.ones(2, dtype))  # times 1 + x
+  return times(out, np.array(v, dtype))
 
 
 def _norm_col(n: int, s: int) -> int:
@@ -84,15 +108,20 @@ class CoeffTable:
 
 def coeff_table(sys: DucciSystem, r_max: int) -> CoeffTable:
   '''Rows 0..r_max of the coefficient table, residues mod m.'''
-  rows = _rows(sys, r_max)
-  return CoeffTable(sys, r_max, tuple(rows[:r_max + 1]))
+  _check_row(sys, r_max)
+  m, n = sys.m, sys.n
+  rows = [(1 % m,) + (0,) * (n - 1)]
+  for _ in range(r_max):
+    prev = rows[-1]
+    rows.append(tuple((prev[s] + prev[s - 1]) % m for s in range(n)))
+  return CoeffTable(sys, r_max, tuple(rows))
 
 
 def coeff_at(sys: DucciSystem, r: int, s: int) -> int:
   '''Single cell a(r, s); column index normalized cyclically.'''
-  if not isinstance(r, int) or r < 0:
-    raise ParameterError(f'row index must be an integer >= 0, got {r!r}')
-  return _rows(sys, r)[r][_norm_col(sys.n, s) - 1]
+  _check_row(sys, r)
+  row = _power(sys, r, [1] + [0] * (sys.n - 1))
+  return int(row[_norm_col(sys.n, s) - 1])
 
 
 def apply_coeff_expansion(sys: DucciSystem, u: Sequence[int],
@@ -103,13 +132,9 @@ def apply_coeff_expansion(sys: DucciSystem, u: Sequence[int],
   with repeated stepping is what the tests pin down.
   '''
   x = validate_tuple(sys, u)
-  if not isinstance(r, int) or r < 0:
-    raise ParameterError(f'iteration count must be an integer >= 0, got {r!r}')
-  row = _rows(sys, r)[r]
-  m, n = sys.m, sys.n
-  return tuple(
-    sum(row[(s - i) % n] * x[s] for s in range(n)) % m
-    for i in range(n))
+  _check_row(sys, r, 'iteration count')
+  w = _power(sys, r, [x[-i] for i in range(sys.n)]).tolist()
+  return tuple(w[-i] for i in range(sys.n))
 
 
 @dataclass(frozen=True)
@@ -163,23 +188,30 @@ def view_h(sys: DucciSystem, gamma: int, delta: int) -> int:
 
 # --- binomial coefficients mod 2^l ------------------------------------
 
-# Per exponent l: cumulative products of odd parts, table[j] = product
-# of oddpart(t) for t <= j, reduced mod 2^l.  oddpart(t) = t >> v2(t),
-# and the product over t <= N equals the odd part of N! mod 2^l.
-_ODD_FACT_CACHE: dict[int, list[int]] = {}
-
-# Per exponent l <= _INV_TABLE_MAX_L: inverse of every odd residue.
-_INV_TABLE_CACHE: dict[int, np.ndarray] = {}
-_INV_TABLE_MAX_L = 16
-
-
-def _odd_fact(limit: int, l: int) -> list[int]:
+def _odd_prefix(size: int, l: int) -> tuple[int, ...]:
+  '''table[j] = product of the odd t <= j, mod 2^l, for j < size.'''
+  _check_cells(size, 'binomial table')
   mod = 1 << l
-  table = _ODD_FACT_CACHE.setdefault(l, [1 % mod])
-  while len(table) <= limit:
-    t = len(table)
-    table.append((table[-1] * (t >> ((t & -t).bit_length() - 1))) % mod)
-  return table
+  return tuple(accumulate((t if t & 1 else 1 for t in range(size)),
+                          lambda a, b: a * b % mod))
+
+
+@lru_cache(maxsize=None)
+def _period_prefix(l: int) -> tuple[int, ...]:
+  # One full period of odd residues, for l <= 16: at most 2^16 cells.
+  return _odd_prefix(1 << l, l)
+
+
+def _odd_factorial(big: int, l: int, table: Sequence[int]) -> int:
+  # Odd part of big! mod 2^l: the odd t <= big, which are (big >> l)
+  # periods of odd residues and the prefix up to big mod 2^l, times the
+  # odd part of (big >> 1)!.  A table shorter than 2^l has big >> l == 0.
+  mod = 1 << l
+  out = 1
+  while big:
+    out = out * pow(table[-1], big >> l, mod) * table[big & (mod - 1)] % mod
+    big >>= 1
+  return out
 
 
 def _check_binom_args(big: int, small: int, l: int) -> None:
@@ -204,66 +236,41 @@ def binom_mod_pow2(big: int, small: int, l: int) -> int:
   carries = small.bit_count() + rest.bit_count() - big.bit_count()
   if carries >= l:
     return 0
-  if l == 1:
-    return 1
   mod = 1 << l
-  table = _odd_fact(big, l)
-  den = (table[small] * table[rest]) % mod
-  return (pow(2, carries, mod) * table[big] * pow(den, -1, mod)) % mod
+  table = _period_prefix(l) if l <= 16 else _odd_prefix(min(big + 1, mod), l)
+  num, den1, den2 = (_odd_factorial(x, l, table) for x in (big, small, rest))
+  return (num * pow(den1 * den2, -1, mod) << carries) % mod
 
 
-def _inverse_table(l: int) -> np.ndarray:
-  table = _INV_TABLE_CACHE.get(l)
-  if table is None:
-    mod = 1 << l
-    table = np.zeros(mod, dtype=np.int64)
-    for x in range(1, mod, 2):
-      table[x] = pow(x, -1, mod)
-    _INV_TABLE_CACHE[l] = table
-  return table
-
-
-# Grown geometrically so row sweeps pay the popcount/array costs once.
-_POPCOUNT_CACHE = np.zeros(1, dtype=np.int64)
-_ODD_FACT_NP_CACHE: dict[int, np.ndarray] = {}
-
-
-def _popcounts_upto(limit: int) -> np.ndarray:
-  global _POPCOUNT_CACHE
-  if len(_POPCOUNT_CACHE) <= limit:
-    size = max(limit + 1, 2 * len(_POPCOUNT_CACHE))
-    counts = np.zeros(size, dtype=np.int64)
-    work = np.arange(size, dtype=np.int64)
-    while work.any():
-      counts += work & 1
-      work >>= 1
-    _POPCOUNT_CACHE = counts
-  return _POPCOUNT_CACHE[:limit + 1]
-
-
-def _odd_fact_np(limit: int, l: int) -> np.ndarray:
-  cached = _ODD_FACT_NP_CACHE.get(l)
-  if cached is None or len(cached) <= limit:
-    cached = np.asarray(_odd_fact(limit, l), dtype=np.int64)
-    _ODD_FACT_NP_CACHE[l] = cached
-  return cached[:limit + 1]
+@lru_cache(maxsize=None)
+def _log5(l: int) -> tuple[np.ndarray, np.ndarray]:
+  # For l <= 16 and L = max(l, 3), each odd x is 5^e or -5^e mod 2^L,
+  # the latter when x = 3 mod 4.  Returns e by x >> 1, and 5^e mod 2^L.
+  mod = 1 << max(l, 3)
+  pow5 = np.array([pow(5, e, mod) for e in range(mod >> 2)])
+  logs = np.empty(mod >> 1, dtype=np.int64)
+  logs[pow5 >> 1] = logs[(mod - pow5) >> 1] = np.arange(mod >> 2)
+  return logs, pow5
 
 
 def binom_mod_pow2_range(big: int, l: int) -> np.ndarray:
   '''C(big, small) mod 2^l for every small in 0..big, as int64.
 
-  Vectorized version of `binom_mod_pow2` for row sweeps; restricted to
-  l <= 16 so the odd-residue inverse table stays small.
+  Vectorized version of `binom_mod_pow2` for row sweeps, restricted to
+  l <= 16; prefix products of odd parts are prefix sums of their logs.
   '''
   _check_binom_args(big, 0, l)
-  if l > _INV_TABLE_MAX_L:
-    raise ParameterError(f'row sweeps support l <= {_INV_TABLE_MAX_L}')
-  mod = 1 << l
-  pop = _popcounts_upto(big)
-  carries = pop + pop[::-1] - pop[big]
-  odd_fact = _odd_fact_np(big, l)
-  inv = _inverse_table(l)[odd_fact]
-  vals = (odd_fact[big] * inv) % mod * inv[::-1] % mod
-  shifts = np.where(carries < l, carries, 0)
-  vals = (vals << shifts) % mod
-  return np.where(carries >= l, 0, vals)
+  if l > 16:
+    raise ParameterError('row sweeps support l <= 16')
+  _check_cells(big + 1, 'binomial row')
+  logs, pow5 = _log5(l)
+  t = np.arange(1, big + 1)
+  half_odd = t >> np.bitwise_count(t ^ (t - 1))  # (odd part of t) >> 1
+  exps, signs = (np.concatenate(([0], np.cumsum(x)))
+                 for x in (logs[half_odd & (len(logs) - 1)], half_odd & 1))
+  vals = pow5[(exps[big] - exps - exps[::-1]) & (len(pow5) - 1)]
+  vals = np.where((signs[big] - signs - signs[::-1]) & 1, -vals, vals)
+  # 2^carries, the exact power of two dividing the binomial, is 0 mod
+  # 2^l once carries >= l; carries <= log2(big) keeps the shift in int64.
+  pop = np.bitwise_count(np.arange(big + 1))
+  return (vals << (pop + pop[::-1] - big.bit_count())) % (1 << l)

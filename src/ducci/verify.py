@@ -42,9 +42,9 @@ one row.
 State-space checks are numpy passes on integer state codes: closure
 against a greedy generating set of the kernel, the vanishing bound as
 a power of the successor array, predecessor families by a stable sort
-of it.  Congruence sweeps share one coefficient table per k built at
-the largest requested modulus 2^max(l); each case then asserts
-residues mod its own 2^l.
+of it.  Congruence cases read coefficient rows computed at the
+largest requested modulus 2^max(l) and assert residues mod their own
+2^l.
 '''
 
 from __future__ import annotations
@@ -58,7 +58,8 @@ from types import SimpleNamespace
 import numpy as np
 
 from . import _statespace
-from .coeffs import binom_mod_pow2, binom_mod_pow2_range, coeff_at
+from .coeffs import (apply_coeff_expansion, binom_mod_pow2,
+                     binom_mod_pow2_range, coeff_at)
 from .core import _step, basic_tuple, make_system
 from .errors import CapExceededError
 from .limits import ENUM_NODE_CAP, ORBIT_VISIT_CAP
@@ -378,8 +379,9 @@ def verify_coeff_pair_sum1(k_range=range(1, 7),
     sys = make_system(2 ** work_l, 2 ** k)
     half = 2 ** (k - 1)
     mod, row = 1 << l, l * half
+    cells = apply_coeff_expansion(sys, basic_tuple(sys), row)[::-1]
     for s in range(1, 2 ** k + 1):
-      a, b = coeff_at(sys, row, s), coeff_at(sys, row, s - half)
+      a, b = cells[s - 1], cells[s - 1 - half]
       if (a + b) % mod:
         return 'fail', {'row': row, 's': s, 'cells': [a % mod, b % mod]}
     return 'pass', {'row': row}

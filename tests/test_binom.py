@@ -1,12 +1,16 @@
 '''Binomial coefficients modulo powers of two.'''
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ducci import ParameterError, binom_mod_pow2, binom_mod_pow2_range
+from ducci import (CapExceededError, ParameterError, binom_mod_pow2,
+                   binom_mod_pow2_range)
+from ducci.coeffs import _odd_factorial, _odd_prefix, _period_prefix
+from ducci.limits import COEFF_CELL_CAP
 
 
 def pascal_rows_mod(limit, mod):
@@ -41,9 +45,49 @@ class TestScalar:
             (big, small, l)
 
   def test_huge_indices_stay_cheap(self):
-    # Kummer carries only; no factorial is ever formed.
+    # Mod 4 the odd part comes from a 4-cell table read once per bit of
+    # N; mod 2 the carry count alone decides.
     assert binom_mod_pow2(1 << 20, 1 << 19, 2) == 2
     assert binom_mod_pow2((1 << 20) - 1, 1 << 19, 1) == 1
+
+  def test_central_binomials_up_to_2_62(self):
+    for j in range(2, 63):
+      assert binom_mod_pow2(2 ** j, 2 ** (j - 1), 3) == 6, j
+
+  @given(st.integers(0, 3000), st.data(), st.integers(1, 40))
+  @settings(max_examples=300)
+  def test_matches_comb(self, big, data, l):
+    small = data.draw(st.integers(0, big))
+    assert binom_mod_pow2(big, small, l) == math.comb(big, small) % (1 << l)
+
+  @given(st.integers(2, 1 << 62), st.data(), st.integers(1, 16))
+  @settings(max_examples=200)
+  def test_pascal_rule_large(self, big, data, l):
+    small = data.draw(st.integers(1, big - 1))
+    mod = 1 << l
+    assert binom_mod_pow2(big, small, l) == (
+      binom_mod_pow2(big - 1, small - 1, l)
+      + binom_mod_pow2(big - 1, small, l)) % mod
+
+  def test_odd_part_of_factorial(self):
+    # Mod 4 the odd residues multiply to -1, a sign that cancels in every
+    # binomial, so only the intermediate shows whether periods count.
+    for big in range(300):
+      fact = math.factorial(big)
+      odd = fact >> ((fact & -fact).bit_length() - 1)
+      for l in (1, 2, 3, 7, 20):
+        tables = [_odd_prefix(min(big + 1, 1 << l), l)]
+        if l <= 16:
+          tables.append(_period_prefix(l))
+        for table in tables:
+          assert _odd_factorial(big, l, table) == odd % (1 << l), (big, l)
+
+  def test_large_exponent_table_is_capped(self):
+    # Above l = 16 the odd-residue table has min(N + 1, 2^l) cells.
+    big = 1 << 25
+    with pytest.raises(CapExceededError) as info:
+      binom_mod_pow2(big, big >> 1, 30)
+    assert (info.value.required, info.value.cap) == (big + 1, COEFF_CELL_CAP)
 
   def test_large_exponent_scalar_path(self):
     # l beyond the vectorized table limit still works scalar-wise.
@@ -77,6 +121,18 @@ class TestRange:
   def test_rejects_large_exponent(self):
     with pytest.raises(ParameterError):
       binom_mod_pow2_range(4, 17)
+
+  def test_row_cap(self):
+    big = 1 << 24
+    tracemalloc.start()
+    try:
+      with pytest.raises(CapExceededError) as info:
+        binom_mod_pow2_range(big, 3)
+      peak = tracemalloc.get_traced_memory()[1]
+    finally:
+      tracemalloc.stop()
+    assert (info.value.required, info.value.cap) == (big + 1, COEFF_CELL_CAP)
+    assert peak < 1 << 16, peak  # refused before any array was built
 
 
 class TestClassicalIdentities:

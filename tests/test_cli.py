@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -173,6 +174,13 @@ class TestBinom:
   def test_text(self, capsys):
     _, out, _ = run_cli(capsys, 'binom', '7', '4', '2', '--format', 'text')
     assert out.strip() == '3'
+
+  def test_huge_n(self, capsys):
+    start = time.perf_counter()
+    code, out, _ = run_cli(capsys, 'binom', '1073741824', '536870912', '3')
+    assert time.perf_counter() - start < 0.5
+    assert code == 0
+    assert json.loads(out)['value'] == 6
 
   def test_bad_modulus_exponent(self, capsys):
     code, _, err = run_cli(capsys, 'binom', '8', '4', '0')

@@ -1,15 +1,43 @@
-'''The coefficient table behind D^r and its identities.'''
+'''The coefficient table behind D^r and its identities.
 
+Rows and iterates come from powers of (1+x); they are checked against
+the cyclic Pascal recurrence that used to build a shared row table,
+and against repeated stepping.
+'''
+
+import gc
 import itertools
 import math
+import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from ducci import (CapExceededError, CoeffView, ParameterError,
-                   apply_coeff_expansion, basic_tuple, coeff_at, coeff_table,
-                   coeff_view, ducci_iter, make_system, view_f, view_g,
-                   view_h)
+                   apply_coeff_expansion, basic_tuple, binom_mod_pow2,
+                   coeff_at, coeff_table, coeff_view, ducci_iter,
+                   make_system, view_f, view_g, view_h)
+from ducci.limits import COEFF_CELL_CAP
+from ducci.verify import DEFAULT_SYSTEMS
+
+
+def recurrence_rows(m, n, r_max):
+  '''Rows 0..r_max by the cyclic Pascal recurrence (the slow oracle).'''
+  rows = [(1 % m,) + (0,) * (n - 1)]
+  while len(rows) <= r_max:
+    prev = rows[-1]
+    rows.append(tuple((prev[s] + prev[s - 1]) % m for s in range(n)))
+  return rows
+
+
+def engine_row(sys, r):
+  return tuple(coeff_at(sys, r, s) for s in range(1, sys.n + 1))
+
+
+def int64_edge(n):
+  '''The largest m with n * (m-1)^2 < 2^63.'''
+  return math.isqrt(((1 << 63) - 1) // n) + 1
 
 
 class TestTable:
@@ -61,12 +89,54 @@ class TestTable:
     with pytest.raises(CapExceededError):
       coeff_table(make_system(4, 4), 1 << 24)
 
+  def test_every_route_refuses_past_the_cap(self):
+    sys = make_system(4, 4)
+    r = COEFF_CELL_CAP // 4
+    for call in (lambda: coeff_table(sys, r), lambda: coeff_at(sys, r, 1),
+                 lambda: apply_coeff_expansion(sys, (0, 0, 0, 1), r),
+                 lambda: view_f(sys, r // 2, 1)):
+      with pytest.raises(CapExceededError) as info:
+        call()
+      assert str(info.value) == (f'table of {(r + 1) * 4} cells exceeds '
+                                 f'the {COEFF_CELL_CAP}-cell cap')
+      assert (info.value.required, info.value.cap) == ((r + 1) * 4,
+                                                       COEFF_CELL_CAP)
+    # The last row the cap allows is still answered.
+    assert coeff_at(sys, r - 1, 1) == engine_row(sys, r - 1)[0]
+
   def test_csv_snapshot(self):
     csv = coeff_table(make_system(4, 2), 2).to_csv()
     assert csv == ('r,s,value\n'
                    '0,1,1\n0,2,0\n'
                    '1,1,1\n1,2,1\n'
                    '2,1,2\n2,2,2\n')
+
+
+class TestAgainstRecurrence:
+  @pytest.mark.parametrize('m,n', DEFAULT_SYSTEMS)
+  def test_desk_systems(self, m, n):
+    sys = make_system(m, n)
+    rows = recurrence_rows(m, n, 4 * n + 8)
+    for r, row in enumerate(rows):
+      assert engine_row(sys, r) == row, r
+    assert coeff_table(sys, len(rows) - 1).rows == tuple(rows)
+
+  @given(st.integers(2, 12), st.integers(1, 69), st.integers(0, 3000))
+  @settings(max_examples=40, deadline=None)
+  def test_random_systems(self, m, n, r):
+    sys = make_system(m, n)
+    assert engine_row(sys, r) == recurrence_rows(m, n, r)[r]
+
+  @pytest.mark.parametrize('n', [1, 2, 5, 8])
+  def test_expansion_across_the_int64_bound(self, n):
+    rng = random.Random(n)
+    edge = int64_edge(n)
+    assert n * (edge - 1) ** 2 < 1 << 63 <= n * edge ** 2
+    for m in (edge, edge + 1, 2 ** 63 - 1, 10 ** 19 + 7, 2 ** 70):
+      sys = make_system(m, n)
+      for u in ((m - 1,) * n, tuple(rng.randrange(m) for _ in range(n))):
+        for r in range(0, 40, 3):
+          assert apply_coeff_expansion(sys, u, r) == ducci_iter(sys, u, r)
 
 
 class TestIdentities:
@@ -161,3 +231,29 @@ class TestViews:
   def test_unknown_kind(self):
     with pytest.raises(ParameterError):
       coeff_view(make_system(4, 4), CoeffView('q', 1, 1))
+
+
+class TestMemory:
+  def test_no_call_keeps_tables(self):
+    # Rows, iterates and binomials leave nothing behind that grows with
+    # r or N; the only memos are one small table per l <= 16.
+    rng = random.Random(7)
+    tracemalloc.start()
+    try:
+      before = tracemalloc.get_traced_memory()[0]
+      for i in range(48):
+        sys = make_system(rng.randint(2, 12), 64)
+        r = rng.randint(10 ** 3, 10 ** 4)
+        if i % 2:
+          coeff_at(sys, r, rng.randint(1, 64))
+        else:
+          u = tuple(rng.randrange(sys.m) for _ in range(64))
+          apply_coeff_expansion(sys, u, r)
+      for _ in range(24):
+        big = rng.randint(1 << 19, 1 << 20)
+        binom_mod_pow2(big, rng.randint(0, big), rng.randint(1, 8))
+      gc.collect()
+      held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+      tracemalloc.stop()
+    assert held < 1 << 20, held

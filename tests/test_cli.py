@@ -102,6 +102,28 @@ class TestOrbit:
     assert (obj['len'], obj['per']) == (3, 1)
     assert obj['tuple'] == '(0,1)'
 
+  @pytest.mark.parametrize('argv, out', [
+    ('basic --k 2 --l 3', '{"tuple":"(0,0,0,1)","len":8,"per":1}\n'),
+    ('basic --k 2 --l 3 --format text', 'tuple (0,0,0,1)\nlen 8\nper 1\n'),
+    ('basic --m 5 --n 3 --format text', 'tuple (0,0,1)\nlen 0\nper 12\n'),
+    ('orbit --m 4 --n 4 --tuple 1,2,3,0 --vanishes', 'true\n'),
+    ('orbit --m 3 --n 2 --tuple 1,0 --vanishes', 'false\n'),
+    ('orbit --m 7 --n 5 --tuple 1,2,3,4,5 --vanishes', 'false\n'),
+  ])
+  def test_basic_and_vanishes_bytes_are_pinned(self, capsys, argv, out):
+    assert run_cli(capsys, *argv.split()) == (0, out, '')
+
+  @pytest.mark.parametrize('argv', [
+    'basic --m 7 --n 31 --max-states 1000',
+    'orbit --m 7 --n 31 --tuple ' + '0,' * 30 + '1 --max-states 1000',
+    'orbit --m 7 --n 31 --tuple ' + '0,' * 30 + '1 --max-states 1000'
+    ' --vanishes',
+  ])
+  def test_refusal_message_is_pinned(self, capsys, argv):
+    err = ('error: orbit of (1, 2, 5, 6, 1, 2, 1, 1)... in Z_7^31 exceeds '
+           '1000 states\n')
+    assert run_cli(capsys, *argv.split()) == (3, '', err)
+
   def test_text_format_mentions_lengths(self, capsys):
     _, out, _ = run_cli(capsys, 'orbit', '--m', '4', '--n', '2',
                         '--tuple', '2,3', '--format', 'text')

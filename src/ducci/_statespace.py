@@ -45,12 +45,6 @@ def successor_array(m: int, n: int, cap: int = ENUM_NODE_CAP) -> np.ndarray:
   return succ.reshape(-1)
 
 
-def states_matrix(m: int, n: int, cap: int = ENUM_NODE_CAP) -> np.ndarray:
-  '''All states as an (m**n, n) int64 matrix in lexicographic order.'''
-  check_cap(m ** n, cap, f'enumerating Z_{m}^{n}')
-  return digits(np.arange(m ** n, dtype=np.int64), m, n)
-
-
 def batch_step(states: np.ndarray, m: int) -> np.ndarray:
   '''Pair-sum map applied to every row of an (N, n) state matrix.'''
   return (states + np.roll(states, -1, axis=1)) % m

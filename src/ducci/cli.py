@@ -40,7 +40,7 @@ from .core import (DucciSystem, ResidueTuple, add, basic_tuple, ducci_iter,
 from .errors import CapExceededError, ParameterError
 from .graphs import build_graph, component_of, to_dot, to_edge_csv, weak_components
 from .limits import ENUM_NODE_CAP, ORBIT_VISIT_CAP
-from .orbits import kernel_set, orbit_summary, predecessors, vanishes
+from .orbits import basic_len_per, kernel_set, orbit_summary, predecessors, vanishes
 from .verify import CHECK_NAMES, exit_code, reports_to_jsonl, run_checks, summary_table
 
 __all__ = ['main', 'build_parser']
@@ -147,13 +147,12 @@ def _cmd_orbit(sub, args) -> int:
 def _cmd_basic(sub, args) -> int:
   sys_ = _system_from_args(sub, args)
   u = basic_tuple(sys_)
-  summary = orbit_summary(sys_, u, max_states=args.max_states)
+  length, per = basic_len_per(sys_, max_states=args.max_states)
   if args.format == 'json':
-    _emit(_json_line({'tuple': format_tuple(u), 'len': summary.len,
-                      'per': summary.per}), args.output)
+    _emit(_json_line({'tuple': format_tuple(u), 'len': length, 'per': per}),
+          args.output)
   else:
-    _emit(f'tuple {format_tuple(u)}\nlen {summary.len}\n'
-          f'per {summary.per}\n', args.output)
+    _emit(f'tuple {format_tuple(u)}\nlen {length}\nper {per}\n', args.output)
   return 0
 
 

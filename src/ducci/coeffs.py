@@ -59,24 +59,30 @@ def _check_row(sys: DucciSystem, r: int, name: str = 'row index') -> None:
   _check_cells((r + 1) * sys.n)
 
 
+def _times(sys: DucciSystem, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+  # a * b in Z_m[x]/(x^n - 1); a and b hold at most n coefficients each.
+  full = np.convolve(a, b)
+  head, tail = full[:sys.n], full[sys.n:]
+  head[:len(tail)] += tail  # x^n = 1
+  return head % sys.m
+
+
 def _power(sys: DucciSystem, r: int, v: Sequence[int]) -> np.ndarray:
   # (1+x)^r * v in Z_m[x]/(x^n - 1) by square-and-multiply.  A product
   # cell sums at most n products of residues, so int64 is exact while
   # n * (m-1)^2 < 2^63; larger moduli use Python ints.
-  m, n = sys.m, sys.n
-  dtype = np.int64 if n * (m - 1) ** 2 < 1 << 63 else object
-
-  def times(a, b):  # a and b hold at most n coefficients each
-    full = np.convolve(a, b)
-    head, tail = full[:n], full[n:]
-    head[:len(tail)] += tail  # x^n = 1
-    return head % m
+  dtype = np.int64 if sys.n * (sys.m - 1) ** 2 < 1 << 63 else object
   out = np.ones(1, dtype)
   for bit in f'{r:b}':
-    out = times(out, out)
+    out = _times(sys, out, out)
     if bit == '1':
-      out = times(out, np.ones(2, dtype))  # times 1 + x
-  return times(out, np.array(v, dtype))
+      out = _times(sys, out, np.ones(2, dtype))  # times 1 + x
+  return _times(sys, out, np.array(v, dtype))
+
+
+def _flip(x: Sequence[int]) -> list[int]:
+  # Entry i of a state is the coefficient of x^(-i); its own inverse.
+  return [x[-i] for i in range(len(x))]
 
 
 def _norm_col(n: int, s: int) -> int:
@@ -133,8 +139,7 @@ def apply_coeff_expansion(sys: DucciSystem, u: Sequence[int],
   '''
   x = validate_tuple(sys, u)
   _check_row(sys, r, 'iteration count')
-  w = _power(sys, r, [x[-i] for i in range(sys.n)]).tolist()
-  return tuple(w[-i] for i in range(sys.n))
+  return tuple(_flip(_power(sys, r, _flip(x)).tolist()))
 
 
 @dataclass(frozen=True)
@@ -188,18 +193,25 @@ def view_h(sys: DucciSystem, gamma: int, delta: int) -> int:
 
 # --- binomial coefficients mod 2^l ------------------------------------
 
-def _odd_prefix(size: int, l: int) -> tuple[int, ...]:
+def _odd_prefix(size: int, l: int) -> Sequence[int]:
   '''table[j] = product of the odd t <= j, mod 2^l, for j < size.'''
   _check_cells(size, 'binomial table')
   mod = 1 << l
-  return tuple(accumulate((t if t & 1 else 1 for t in range(size)),
-                          lambda a, b: a * b % mod))
+  if l > 64:
+    return tuple(accumulate((t if t & 1 else 1 for t in range(size)),
+                            lambda a, b: a * b % mod))
+  # One uint64 pass: products wrap mod 2^64, which 2^l divides.
+  table = np.arange(size, dtype=np.uint64)
+  table[::2] = 1
+  np.multiply.accumulate(table, out=table)
+  table &= np.uint64(mod - 1)
+  return table
 
 
 @lru_cache(maxsize=None)
 def _period_prefix(l: int) -> tuple[int, ...]:
   # One full period of odd residues, for l <= 16: at most 2^16 cells.
-  return _odd_prefix(1 << l, l)
+  return tuple(_odd_prefix(1 << l, l).tolist())
 
 
 def _odd_factorial(big: int, l: int, table: Sequence[int]) -> int:
@@ -207,9 +219,9 @@ def _odd_factorial(big: int, l: int, table: Sequence[int]) -> int:
   # periods of odd residues and the prefix up to big mod 2^l, times the
   # odd part of (big >> 1)!.  A table shorter than 2^l has big >> l == 0.
   mod = 1 << l
-  out = 1
+  out, period = 1, int(table[-1])
   while big:
-    out = out * pow(table[-1], big >> l, mod) * table[big & (mod - 1)] % mod
+    out = out * pow(period, big >> l, mod) * int(table[big & (mod - 1)]) % mod
     big >>= 1
   return out
 

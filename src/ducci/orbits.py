@@ -4,7 +4,8 @@ For a state u the forward orbit u, D(u), D^2(u), ... is eventually
 periodic.  `len` is the number of steps before the orbit first enters
 its cycle (the pre-period) and `per` is the cycle length, i.e. the
 smallest a, b with D^(a+b)(u) = D^a(u).  A state "vanishes" when its
-cycle is exactly {(0, ..., 0)}.
+cycle is exactly {(0, ..., 0)}.  Whether len + per fits a cap is decided
+in O(sqrt(cap)) steps and memory, before any state is stored.
 
 Naming note: throughout this package L_m(n) is the pre-period of the
 basic tuple (0, ..., 0, 1) in Z_m^n and P_m(n) its period, with the
@@ -14,6 +15,7 @@ so for instance L_4(2) = 3.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import product
@@ -22,6 +24,7 @@ from typing import Sequence
 import numpy as np
 
 from . import _statespace
+from .coeffs import _check_cells, _flip, _power, _times
 from .core import DucciSystem, ResidueTuple, _step, basic_tuple, validate_tuple
 from .errors import CapExceededError, ParameterError
 from .limits import ENUM_NODE_CAP, ORBIT_VISIT_CAP
@@ -89,90 +92,102 @@ class KernelSet:
     return hash(self.members)
 
 
+def _walk(u: ResidueTuple, m: int, count: int) -> tuple[dict, ResidueTuple]:
+  # u, D(u), ... by index until a repeat or `count` states; the state after.
+  seen: dict[ResidueTuple, int] = {}
+  while u not in seen and len(seen) < count:
+    seen[u] = len(seen)
+    u = _step(u, m)
+  return seen, u
+
+
+def _len_per(sys: DucciSystem, u: ResidueTuple, cap: int) -> tuple[int, int]:
+  '''(len, per) of the orbit of u if len + per <= cap, else refuse.
+
+  D^r is multiplication by (1+x)^r in Z_m[x]/(x^n - 1), u_(-j) at x^j.
+  Orbits of up to b = ceil(sqrt(cap)) states end in a walk.  Past that,
+  y = D^cap(u) is on the cycle iff len <= cap.  Baby steps D^j(y), j < b,
+  and giant steps (1+x)^(ib) y meet first p steps apart: p = per if y is
+  on the cycle, else a multiple of it.  So len + per <= cap iff p <= cap
+  and D^(cap-p)(u) == y, and then len is the count of lockstep steps of
+  u and D^p(u) until they meet.
+  '''
+  b = math.isqrt(cap - 1) + 1 if cap > 0 else 0
+  seen, cur = _walk(u, sys.m, b)
+  if cur in seen:
+    return seen[cur], len(seen) - seen[cur]
+
+  def state(w: np.ndarray) -> ResidueTuple:
+    return tuple(_flip(w.tolist()))
+  z = _power(sys, max(cap, 0), _flip(u))
+  y = state(z)
+  baby, cur = _walk(y, sys.m, b)
+  p = len(baby) - baby[cur] if cur in baby else None
+  if p is None:
+    giant = _power(sys, b, [1])
+    for i in range(1, b + 1):
+      z = _times(sys, z, giant)
+      if state(z) in baby:
+        p = i * b - baby[state(z)]
+        break
+  if p is None or p > cap or state(_power(sys, cap - p, _flip(u))) != y:
+    raise CapExceededError(
+      f'orbit of {y[:8]}... in {sys} exceeds {cap} states',
+      required=max(cap, 0) + 1, cap=cap)
+  ahead, length = state(_power(sys, p, _flip(u))), 0
+  while u != ahead:
+    u, ahead, length = _step(u, sys.m), _step(ahead, sys.m), length + 1
+  return length, p
+
+
 def orbit_summary(sys: DucciSystem, u: Sequence[int], *,
                   max_states: int = ORBIT_VISIT_CAP) -> OrbitSummary:
-  '''Walk the orbit of u until the first repeated state.
+  '''Pre-period, period and the states of the orbit of u.
 
-  Keeps a map from state to first-visit index, which yields the minimal
-  pre-period and period directly.  Raises `CapExceededError` if more
-  than `max_states` distinct states would be stored; for such instances
-  use `orbit_len_per_lowmem`.
+  Whether they fit is decided before anything is stored.  Raises
+  `CapExceededError` past `max_states` states (`required` is
+  max_states + 1) or past `COEFF_CELL_CAP` cells (`required` is
+  (len + per) * n).  For longer orbits use `orbit_len_per_lowmem`.
   '''
   cur = validate_tuple(sys, u)
-  m = sys.m
-  first_seen: dict[ResidueTuple, int] = {}
-  states: list[ResidueTuple] = []
-  while cur not in first_seen:
-    if len(states) >= max_states:
-      raise CapExceededError(
-        f'orbit of {cur[:8]}... in {sys} exceeds {max_states} states',
-        required=len(states) + 1, cap=max_states)
-    first_seen[cur] = len(states)
-    states.append(cur)
-    cur = _step(cur, m)
-  enter = first_seen[cur]
+  length, per = _len_per(sys, cur, max_states)
+  _check_cells((length + per) * sys.n, f'orbit in {sys}')
+  states = [cur]
+  for _ in range(length + per - 1):
+    states.append(_step(states[-1], sys.m))
   return OrbitSummary(
-    len=enter,
-    per=len(states) - enter,
-    tail=tuple(states[:enter]),
-    cycle=tuple(states[enter:]),
+    len=length,
+    per=per,
+    tail=tuple(states[:length]),
+    cycle=tuple(states[length:]),
   )
 
 
 def orbit_len_per_lowmem(sys: DucciSystem, u: Sequence[int], *,
                          max_steps: int = ORBIT_VISIT_CAP) -> tuple[int, int]:
-  '''(pre-period, period) by Brent's method in constant memory.
+  '''(pre-period, period) in O(sqrt(max_steps)) memory, storing no orbit.
 
-  Fallback for orbits too long to store; only the two lengths are
-  recovered, the period first, then the pre-period by a tail walk.
+  Refuses exactly when len + per > max_steps, like `orbit_summary` with
+  the same message, `required` and `cap`.  This is a deliberate change:
+  the Brent walk it replaces refused on its own, larger step count.
   '''
-  start = validate_tuple(sys, u)
-  m = sys.m
-  steps = 0
-
-  def bump():
-    nonlocal steps
-    steps += 1
-    if steps > max_steps:
-      raise CapExceededError(
-        f'orbit walk in {sys} exceeds {max_steps} steps',
-        required=steps, cap=max_steps)
-
-  power = per = 1
-  tortoise, hare = start, _step(start, m)
-  bump()
-  while tortoise != hare:
-    if power == per:
-      tortoise = hare
-      power *= 2
-      per = 0
-    hare = _step(hare, m)
-    bump()
-    per += 1
-  tortoise = hare = start
-  for _ in range(per):
-    hare = _step(hare, m)
-  length = 0
-  while tortoise != hare:
-    tortoise = _step(tortoise, m)
-    hare = _step(hare, m)
-    bump()
-    length += 1
-  return length, per
+  return _len_per(sys, validate_tuple(sys, u), max_steps)
 
 
 def basic_len_per(sys: DucciSystem, *,
                   max_states: int = ORBIT_VISIT_CAP) -> tuple[int, int]:
   '''(L_m(n), P_m(n)): pre-period and period of the basic tuple.'''
-  summary = orbit_summary(sys, basic_tuple(sys), max_states=max_states)
-  return summary.len, summary.per
+  return orbit_len_per_lowmem(sys, basic_tuple(sys), max_steps=max_states)
 
 
 def vanishes(sys: DucciSystem, u: Sequence[int], *,
              max_states: int = ORBIT_VISIT_CAP) -> bool:
-  '''True when the orbit of u ends in the fixed point (0, ..., 0).'''
-  summary = orbit_summary(sys, u, max_states=max_states)
-  return summary.cycle == ((0,) * sys.n,)
+  '''True when the orbit of u ends in the fixed point (0, ..., 0).
+
+  That is when its period is 1: D(w) = w forces every w_(i+1) = 0, so
+  zero is the only fixed point of D.
+  '''
+  return orbit_len_per_lowmem(sys, u, max_steps=max_states)[1] == 1
 
 
 def predecessors(sys: DucciSystem, u: Sequence[int]) -> list[ResidueTuple]:

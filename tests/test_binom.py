@@ -75,7 +75,7 @@ class TestScalar:
     for big in range(300):
       fact = math.factorial(big)
       odd = fact >> ((fact & -fact).bit_length() - 1)
-      for l in (1, 2, 3, 7, 20):
+      for l in (1, 2, 3, 7, 20, 64, 65):
         tables = [_odd_prefix(min(big + 1, 1 << l), l)]
         if l <= 16:
           tables.append(_period_prefix(l))
@@ -88,6 +88,20 @@ class TestScalar:
     with pytest.raises(CapExceededError) as info:
       binom_mod_pow2(big, big >> 1, 30)
     assert (info.value.required, info.value.cap) == (big + 1, COEFF_CELL_CAP)
+
+  def test_large_exponent_table_is_one_uint64_pass(self):
+    # Above l = 16 each call builds its own table of min(N + 1, 2^l)
+    # cells: 8 bytes each, not a Python int apiece.
+    big = (1 << 20) + 5
+    for _ in range(2):
+      tracemalloc.start()
+      try:
+        got = binom_mod_pow2(big, 3, 30)
+        peak = tracemalloc.get_traced_memory()[1]
+      finally:
+        tracemalloc.stop()
+      assert got == math.comb(big, 3) % (1 << 30)
+      assert peak < 12 << 20
 
   def test_large_exponent_scalar_path(self):
     # l beyond the vectorized table limit still works scalar-wise.

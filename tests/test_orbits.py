@@ -1,21 +1,74 @@
 '''Orbit lengths, predecessors, and the cycle subgroup.'''
 
 import itertools
+import math
+import tracemalloc
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ducci import (CapExceededError, ParameterError, basic_len_per,
-                   basic_tuple, ducci_iter, ducci_step, kernel_set,
-                   len_per_map, make_system, orbit_len_per_lowmem,
+from ducci import (CapExceededError, ParameterError, _statespace,
+                   basic_len_per, basic_tuple, ducci_iter, ducci_step,
+                   kernel_set, len_per_map, make_system, orbit_len_per_lowmem,
                    orbit_summary, predecessors, vanishes)
+from ducci.core import _step
+from ducci.limits import COEFF_CELL_CAP
+from ducci.orbits import _len_per
+from ducci.verify import DEFAULT_SYSTEMS
 
 SMALL_SYSTEMS = [(2, 2), (2, 3), (2, 6), (3, 2), (3, 3), (4, 2), (4, 3),
                  (5, 2), (6, 2), (6, 3)]
 
+# Moduli past the int64 bound of the polynomial engine: object dtype.
+BIG_MODULI = (2 ** 63 - 1, 10 ** 19 + 7, 2 ** 70)
+
 
 def all_states(sys):
   return itertools.product(range(sys.m), repeat=sys.n)
+
+
+def dict_walk(sys, u, cap):
+  '''The former orbit_summary walk: (len, per), or None past cap states.'''
+  seen, cur = {}, tuple(u)
+  while cur not in seen:
+    if len(seen) >= cap:
+      return None
+    seen[cur] = len(seen)
+    cur = _step(cur, sys.m)
+  return seen[cur], len(seen) - seen[cur]
+
+
+def brent(sys, u):
+  '''The former orbit_len_per_lowmem: Brent's cycle search, then the tail.'''
+  m = sys.m
+  power = per = 1
+  tortoise, hare = u, _step(u, m)
+  while tortoise != hare:
+    if power == per:
+      tortoise, power, per = hare, power * 2, 0
+    hare = _step(hare, m)
+    per += 1
+  tortoise = hare = u
+  for _ in range(per):
+    hare = _step(hare, m)
+  length = 0
+  while tortoise != hare:
+    tortoise, hare, length = _step(tortoise, m), _step(hare, m), length + 1
+  return length, per
+
+
+def check_engine(sys, u, cap, truth):
+  '''_len_per answers `truth` when len + per <= cap and refuses otherwise.
+
+  `truth` None stands for an orbit longer than cap.
+  '''
+  if truth is not None and sum(truth) <= cap:
+    assert _len_per(sys, u, cap) == truth, (str(sys), u, cap)
+    return
+  with pytest.raises(CapExceededError) as info:
+    _len_per(sys, u, cap)
+  assert (info.value.required, info.value.cap) == (cap + 1, cap)
 
 
 class TestOrbitSummary:
@@ -108,6 +161,106 @@ class TestLenPer:
       for u, (length, per) in len_per_map(sys).items():
         assert length <= top_len, (str(sys), u)
         assert top_per % per == 0, (str(sys), u)
+
+
+def class_representatives(m, n):
+  '''The least state of each class under rotation and unit scaling.
+
+  D commutes with rotation and with multiplication by a unit mod m, and
+  so does every step of the engine, so one state stands for its class.
+  '''
+  codes = np.arange(m ** n)
+  mat = _statespace.digits(codes, m, n)
+  weights = m ** np.arange(n - 1, -1, -1)
+  least = codes
+  for lam in (x for x in range(1, m) if math.gcd(x, m) == 1):
+    for r in range(n):
+      least = np.minimum(least, np.roll(lam * mat % m, r, axis=1) @ weights)
+  return list(map(tuple, mat[least == codes].tolist()))
+
+
+class TestEngine:
+  @pytest.mark.parametrize('m,n', DEFAULT_SYSTEMS)
+  def test_desk_states_at_caps_around_their_orbit(self, m, n):
+    # Caps len + per - 1 and len + per, below len (D^cap(u) is then off
+    # the cycle, where a repeat gives a multiple of per), and s^2 and
+    # s^2 + 1 for s = len + per - 1, where the opening walk's length
+    # ceil(sqrt(cap)) goes from below len + per to len + per.  Systems
+    # past 4096 states take one cap per class in turn, to bound the time.
+    sys = make_system(m, n)
+    table = len_per_map(sys)
+    for i, u in enumerate(class_representatives(m, n)):
+      truth = table[u]
+      s = sum(truth) - 1
+      caps = [s, s + 1, truth[0] - 1, s * s, s * s + 1]
+      if m ** n > 4096:
+        caps = caps[i % 5:i % 5 + 1]
+      for cap in caps:
+        if cap >= 0:
+          check_engine(sys, u, cap, truth)
+
+  @given(st.data())
+  @settings(max_examples=60, deadline=None)
+  def test_matches_dict_walk(self, data):
+    m = data.draw(st.one_of(st.integers(2, 40), st.sampled_from(BIG_MODULI)))
+    n = data.draw(st.integers(1, 40))
+    u = tuple(data.draw(st.lists(st.integers(0, m - 1), min_size=n,
+                                 max_size=n)))
+    sys = make_system(m, n)
+    truth = dict_walk(sys, u, 5000)
+    caps = [data.draw(st.integers(0, 5000))]
+    if truth is not None:
+      caps += [sum(truth) - 1, sum(truth), truth[0] - 1]
+    for cap in caps:
+      if cap >= 0:
+        check_engine(sys, u, cap, truth)
+
+  def test_off_cycle_repeat_is_not_the_period(self):
+    # The basic orbit of Z_{2^70}^3 has len 70 and per 6.  At a cap
+    # below 70, D^cap(u) is off the cycle and its baby and giant steps
+    # can first meet 18 steps apart.
+    sys = make_system(2 ** 70, 3)
+    u = basic_tuple(sys)
+    assert brent(sys, u) == (70, 6)
+    for cap in range(100):
+      check_engine(sys, u, cap, (70, 6))
+
+  def test_lowmem_matches_brent(self):
+    for m, n in SMALL_SYSTEMS:
+      sys = make_system(m, n)
+      for u in all_states(sys):
+        assert orbit_len_per_lowmem(sys, u) == brent(sys, u), (m, n, u)
+
+  def test_refusal_stores_nothing(self):
+    # Z_7^31's basic orbit is far past 2^18 states; walking that many
+    # 31-tuples before refusing held about 130 MB.
+    sys = make_system(7, 31)
+    tracemalloc.start()
+    try:
+      with pytest.raises(CapExceededError) as info:
+        orbit_summary(sys, basic_tuple(sys), max_states=1 << 18)
+      peak = tracemalloc.get_traced_memory()[1]
+    finally:
+      tracemalloc.stop()
+    assert (info.value.required, info.value.cap) == ((1 << 18) + 1, 1 << 18)
+    assert peak < 4 << 20
+
+  def test_stored_cells_are_capped(self):
+    # The basic orbit of Z_3^37 fits in ORBIT_VISIT_CAP states, but its
+    # 728,234 states of 37 cells each do not fit COEFF_CELL_CAP.
+    sys = make_system(3, 37)
+    length, per = orbit_len_per_lowmem(sys, basic_tuple(sys))
+    tracemalloc.start()
+    try:
+      with pytest.raises(CapExceededError) as info:
+        orbit_summary(sys, basic_tuple(sys), max_states=length + per)
+      peak = tracemalloc.get_traced_memory()[1]
+    finally:
+      tracemalloc.stop()
+    assert (info.value.required, info.value.cap) == (
+      (length + per) * 37, COEFF_CELL_CAP)
+    assert info.value.required > COEFF_CELL_CAP
+    assert peak < 4 << 20
 
 
 class TestVanishing:

@@ -221,7 +221,7 @@ def test_predecessors_match_successor_array(m, n):
 def test_successor_power_matches_batch_iter(k, l):
   m, n = 2 ** l, 2 ** k
   succ = _statespace.successor_array(m, n)
-  states = _statespace.states_matrix(m, n)
+  states = _statespace.digits(np.arange(m ** n), m, n)
   weights = m ** np.arange(n - 1, -1, -1)
   for r in range(l * 2 ** k + 1):
     assert np.array_equal(_statespace.successor_power(succ, r),

@@ -1,5 +1,6 @@
 '''Command-line front end: argument handling, formats, exit codes.'''
 
+import hashlib
 import json
 import os
 import subprocess
@@ -10,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import ducci
-from ducci import make_system, predecessors
+from ducci import build_graph, make_system, predecessors, to_dot, to_edge_csv
 from ducci.cli import main
 from ducci.verify import DEFAULT_SYSTEMS
 
@@ -147,6 +148,36 @@ class TestPredsAndKernel:
     code, out, _ = run_cli(capsys, 'kernel', '--m', '3', '--n', '2')
     assert json.loads(out) == [[0, 0], [1, 1], [2, 2]]
 
+  # Z_4^10 json is the benchmark's whole_space pin (bench/workloads.py);
+  # Z_3^1 has no low digits to split off, Z_2^8 only the zero state.
+  @pytest.mark.parametrize('m,n,fmt,sha256', [
+    (4, 10, 'json',
+     'c0d59f021e1d08f0e6c20483d9b47fa1b9068d67f491d45584441f814a0dcadc'),
+    (4, 10, 'text',
+     'ec1e3737d9423597689f5d2aad18bd787bf44e1aaf281a15d5b636593876a1b3'),
+    (3, 1, 'json',
+     'f8357721c95673258b31504ee3a3ac8a1858b02b6400e94fc50394656fbd5349'),
+    (3, 1, 'text',
+     '012d8fdad1bb51419e6f97a429c1292c43740472b94c0e94c1f751b16358a170'),
+    (2, 8, 'json',
+     'fa291bcde18e6ac095733f19ed8341ca34b782e823a3820cda2dddd60ed7dfba'),
+    (2, 8, 'text',
+     '002453f2e2c7b2e8fc257290fd48429be903469467781ad5ff7569993ed357a5'),
+    (6, 3, 'json',
+     'f5367532c54d2d9247a5767c3508bd9b778537577c1c3d863f530c69e5b5183a'),
+    (6, 3, 'text',
+     'b12df30aec7a77388acf734209cf248abeeeeada28007e5954fc598e1474a6dd'),
+    (5, 4, 'json',
+     '2ff18e0c8613a64b5daaee181a2ca3f603596e454826af3896d626f9426ada97'),
+    (5, 4, 'text',
+     '2f7cc9ec077d4cc6499a5663816f31e60d8103a90b7eef6df246fdcd58ae62d2'),
+  ])
+  def test_kernel_bytes_are_pinned(self, capsys, m, n, fmt, sha256):
+    code, out, err = run_cli(capsys, 'kernel', '--m', str(m), '--n', str(n),
+                             '--format', fmt)
+    assert (code, err) == (0, '')
+    assert hashlib.sha256(out.encode()).hexdigest() == sha256
+
   def test_kernel_cap_exits_three(self, capsys):
     code, out, err = run_cli(capsys, 'kernel', '--m', '6', '--n', '8')
     assert code == 3
@@ -230,6 +261,26 @@ class TestGraph:
     lines = out.splitlines()
     assert lines[0] == 'source,target'
     assert len(lines) == 5
+
+
+  # An odd n splits the digits unevenly between the two text tables.
+  @pytest.mark.parametrize('export,sha256', [
+    (to_dot,
+     'ae387f7c2daa3efff29893f2e57faf3894f671bdb53b9db2608813a375b56a41'),
+    (to_edge_csv,
+     '1447613dd82f4c5b30a428f6ad19648a6d825339e155b5ab5536ddfd91c7d016'),
+  ])
+  def test_odd_length_export_is_pinned(self, export, sha256):
+    text = export(build_graph(make_system(3, 5)))
+    assert hashlib.sha256(text.encode()).hexdigest() == sha256
+
+  def test_length_one_export(self):
+    graph = build_graph(make_system(3, 1))
+    assert to_dot(graph) == ('digraph ducci {\n  "(0)";\n  "(1)";\n  "(2)";\n'
+                             '  "(0)" -> "(0)";\n  "(1)" -> "(2)";\n'
+                             '  "(2)" -> "(1)";\n}\n')
+    assert to_edge_csv(graph) == ('source,target\n"(0)","(0)"\n'
+                                  '"(1)","(2)"\n"(2)","(1)"\n')
 
 
 class TestVerify:

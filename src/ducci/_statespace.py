@@ -9,6 +9,8 @@ edge.  Internal plumbing for the orbit, graph and verification modules.
 
 from __future__ import annotations
 
+from itertools import product
+
 import numpy as np
 
 from .errors import CapExceededError
@@ -32,6 +34,19 @@ def encode(u, m: int) -> int:
 def digits(codes: np.ndarray, m: int, n: int) -> np.ndarray:
   '''The states with the given codes as a (len(codes), n) digit matrix.'''
   return codes[:, None] // m ** np.arange(n - 1, -1, -1, dtype=np.int64) % m
+
+
+def texts(codes: np.ndarray, m: int, n: int, open_: str = '(',
+          close: str = ')') -> list[str]:
+  '''Text of the states with the given codes, "(d_1,...,d_n)" by default:
+  each joined from a table of "(d_1,...,d_h" by the high digits and one
+  of ",...,d_n)" by the low ones, so no tuple is made.'''
+  half, sym = n // 2, [str(d) for d in range(m)]
+  high = [open_ + ','.join(t) for t in product(sym, repeat=n - half)]
+  low = [''.join(',' + d for d in t) + close for t in product(sym, repeat=half)]
+  upper, lower = np.divmod(codes, m ** half)
+  return list(map(str.__add__, map(high.__getitem__, upper.tolist()),
+                  map(low.__getitem__, lower.tolist())))
 
 
 def successor_array(m: int, n: int, cap: int = ENUM_NODE_CAP) -> np.ndarray:

@@ -32,6 +32,9 @@ import json
 import sys
 from pathlib import Path
 
+import numpy as np
+
+from . import _statespace
 from .coeffs import (CoeffView, apply_coeff_expansion, binom_mod_pow2,
                      coeff_at, coeff_table, coeff_view)
 from .core import (DucciSystem, ResidueTuple, add, basic_tuple, ducci_iter,
@@ -168,13 +171,17 @@ def _cmd_preds(sub, args) -> int:
 
 
 def _cmd_kernel(sub, args) -> int:
+  # Member text is joined from digit-string tables, not made per tuple.
   sys_ = _system_from_args(sub, args)
-  kernel = kernel_set(sys_, max_states=args.max_states)
+  m, n = sys_.m, sys_.n
+  rows = kernel_set(sys_, max_states=args.max_states).rows
+  codes = rows @ m ** np.arange(n - 1, -1, -1, dtype=np.int64)
   if args.format == 'json':
-    _emit(_json_line(kernel.to_json_obj()), args.output)
+    _emit('[' + ','.join(_statespace.texts(codes, m, n, '[', ']')) + ']\n',
+          args.output)
   else:
-    _emit(''.join(format_tuple(v) + '\n'
-                  for v in kernel.sorted_members()), args.output)
+    _emit(''.join(t + '\n' for t in _statespace.texts(codes, m, n)),
+          args.output)
   return 0
 
 

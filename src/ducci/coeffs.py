@@ -51,12 +51,16 @@ def _check_cells(cells: int, what: str = 'table') -> None:
       required=cells, cap=COEFF_CELL_CAP)
 
 
-def _check_row(sys: DucciSystem, r: int, name: str = 'row index') -> None:
-  # The cell cap also bounds the work of one row: each of its O(log r)
-  # convolutions multiplies n by at most min(r + 1, n) coefficients.
+def _check_index(r: int, name: str = 'row index') -> None:
   if not isinstance(r, int) or r < 0:
     raise ParameterError(f'{name} must be an integer >= 0, got {r!r}')
-  _check_cells((r + 1) * sys.n)
+
+
+def _check_row(sys: DucciSystem, r: int, name: str = 'row index') -> None:
+  # The cell cap bounds the work of one row: each of its O(log r)
+  # convolutions multiplies n by at most min(r + 1, n) coefficients.
+  _check_index(r, name)
+  _check_cells(min(r + 1, sys.n) * sys.n)
 
 
 def _times(sys: DucciSystem, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -114,7 +118,8 @@ class CoeffTable:
 
 def coeff_table(sys: DucciSystem, r_max: int) -> CoeffTable:
   '''Rows 0..r_max of the coefficient table, residues mod m.'''
-  _check_row(sys, r_max)
+  _check_index(r_max)
+  _check_cells((r_max + 1) * sys.n)
   m, n = sys.m, sys.n
   rows = [(1 % m,) + (0,) * (n - 1)]
   for _ in range(r_max):

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import product
 
 import numpy as np
 
@@ -113,16 +112,10 @@ def weak_components(graph: TransitionGraph) -> list[TransitionGraph]:
 
 
 def _edge_texts(graph: TransitionGraph) -> list[list[str]]:
-  # Canonical text of each source and each target, joined from tables of
-  # "(d_1,...,d_h" by the high digits and ",...,d_n)" by the low ones.
-  m, n, half = graph.sys.m, graph.sys.n, graph.sys.n // 2
-  sym = [str(d) for d in range(m)]
-  high = ['(' + ','.join(t) for t in product(sym, repeat=n - half)]
-  low = [''.join(',' + d for d in t) + ')' for t in product(sym, repeat=half)]
-  return [list(map(str.__add__, map(high.__getitem__, upper.tolist()),
-                   map(low.__getitem__, lower.tolist())))
-          for upper, lower in (np.divmod(graph.codes, m ** half),
-                               np.divmod(graph.targets, m ** half))]
+  # Canonical text of each source and each target.
+  m, n = graph.sys.m, graph.sys.n
+  return [_statespace.texts(codes, m, n)
+          for codes in (graph.codes, graph.targets)]
 
 
 def to_dot(graph: TransitionGraph) -> str:

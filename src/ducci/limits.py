@@ -10,6 +10,7 @@ ORBIT_VISIT_CAP = 1 << 24
 # Most states a full state-space enumeration (kernel, graph) may touch.
 ENUM_NODE_CAP = 1 << 20
 
-# Most cells a coefficient table or row ((r + 1) * n), a binomial row
-# (N + 1), an odd-residue table or a stored orbit ((len + per) * n) may span.
+# Most cells a coefficient table ((r + 1) * n), the products of one row's
+# convolutions (min(r + 1, n) * n), a binomial row (N + 1), an odd-residue
+# table or a stored orbit ((len + per) * n) may span.
 COEFF_CELL_CAP = 1 << 24

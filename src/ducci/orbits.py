@@ -16,6 +16,7 @@ so for instance L_4(2) = 3.
 from __future__ import annotations
 
 import math
+from collections.abc import ItemsView, Mapping, ValuesView
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import product
@@ -220,16 +221,56 @@ def kernel_set(sys: DucciSystem, *,
   return KernelSet(rows)
 
 
+class _Values(ValuesView):
+  def __iter__(self):
+    return zip(self._mapping._lens.tolist(), self._mapping._pers.tolist())
+
+
+class _Items(ItemsView):
+  def __iter__(self):
+    return zip(self._mapping, self._mapping.values())
+
+
+class _LenPerMap(Mapping):
+  # Read-only (len, per) by state over the per-code arrays; states
+  # iterate in lexicographic order, which is ascending code order.
+
+  def __init__(self, sys: DucciSystem, lens: np.ndarray, pers: np.ndarray):
+    self._sys, self._lens, self._pers = sys, lens, pers
+
+  def __len__(self) -> int:
+    return len(self._lens)
+
+  def __iter__(self):
+    return product(range(self._sys.m), repeat=self._sys.n)
+
+  def __getitem__(self, u) -> tuple[int, int]:
+    m, n = self._sys.m, self._sys.n
+    if not (isinstance(u, tuple) and len(u) == n
+            and all(d in range(m) for d in u)):
+      raise KeyError(u)
+    code = _statespace.encode(map(int, u), m)
+    return int(self._lens[code]), int(self._pers[code])
+
+  def values(self) -> ValuesView:
+    return _Values(self)
+
+  def items(self) -> ItemsView:
+    return _Items(self)
+
+
 def len_per_map(sys: DucciSystem, *,
                 max_states: int = ENUM_NODE_CAP,
-                ) -> dict[ResidueTuple, tuple[int, int]]:
+                ) -> Mapping[ResidueTuple, tuple[int, int]]:
   '''(pre-period, period) for every state of the system at once.
 
   Array passes over the successor array instead of m^n orbit walks:
   find the cycles and their lengths by pointer doubling, then step the
-  off-cycle states forward until each lands on a cycle.
+  off-cycle states forward until each lands on a cycle.  The result is
+  a read-only mapping over those two arrays, not a dict: it iterates
+  the states in lexicographic order, makes a state's tuple only when
+  asked, and equals the dict it stands for.
   '''
   succ = _statespace.successor_array(sys.m, sys.n, max_states)
   lens, pers, _, _ = _statespace.tail_cycle_tables(succ)
-  return dict(zip(product(range(sys.m), repeat=sys.n),
-                  zip(lens.tolist(), pers.tolist())))
+  return _LenPerMap(sys, lens, pers)

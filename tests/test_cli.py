@@ -11,7 +11,8 @@ from pathlib import Path
 import pytest
 
 import ducci
-from ducci import build_graph, make_system, predecessors, to_dot, to_edge_csv
+from ducci import (build_graph, make_system, orbit_summary, predecessors,
+                   to_dot, to_edge_csv)
 from ducci.cli import main
 from ducci.verify import DEFAULT_SYSTEMS
 
@@ -55,6 +56,17 @@ class TestStep:
     _, direct, _ = run_cli(capsys, *args)
     _, routed, _ = run_cli(capsys, *args, '--via', 'coeffs')
     assert direct == routed
+
+  def test_coeff_route_past_the_table_cap(self, capsys):
+    # 10^7 rows of 4 cells would pass the cell cap; one row does not.
+    code, out, err = run_cli(capsys, 'step', '--m', '5', '--n', '4',
+                             '--tuple', '1,2,3,4', '--r', '10000000',
+                             '--via', 'coeffs')
+    sys_, u, r = make_system(5, 4), (1, 2, 3, 4), 10 ** 7
+    summary = orbit_summary(sys_, u)
+    want = ducci.ducci_iter(sys_, u,
+                            summary.len + (r - summary.len) % summary.per)
+    assert (code, json.loads(out), err) == (0, list(want), '')
 
   def test_preops_apply_in_documented_order(self, capsys):
     code, out, _ = run_cli(capsys, 'step', '--m', '6', '--n', '3',

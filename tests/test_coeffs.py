@@ -17,7 +17,7 @@ from hypothesis import given, settings, strategies as st
 from ducci import (CapExceededError, CoeffView, ParameterError,
                    apply_coeff_expansion, basic_tuple, binom_mod_pow2,
                    coeff_at, coeff_table, coeff_view, ducci_iter,
-                   make_system, view_f, view_g, view_h)
+                   make_system, orbit_summary, view_f, view_g, view_h)
 from ducci.limits import COEFF_CELL_CAP
 from ducci.verify import DEFAULT_SYSTEMS
 
@@ -90,19 +90,39 @@ class TestTable:
       coeff_table(make_system(4, 4), 1 << 24)
 
   def test_every_route_refuses_past_the_cap(self):
-    sys = make_system(4, 4)
-    r = COEFF_CELL_CAP // 4
-    for call in (lambda: coeff_table(sys, r), lambda: coeff_at(sys, r, 1),
-                 lambda: apply_coeff_expansion(sys, (0, 0, 0, 1), r),
-                 lambda: view_f(sys, r // 2, 1)):
+    # A table holds (r + 1) * n cells.  One row is built from products
+    # of n by at most min(r + 1, n) coefficients, which pass the cap
+    # only for n > 4096, whatever r is.
+    def refuses(call, cells):
       with pytest.raises(CapExceededError) as info:
         call()
-      assert str(info.value) == (f'table of {(r + 1) * 4} cells exceeds '
+      assert str(info.value) == (f'table of {cells} cells exceeds '
                                  f'the {COEFF_CELL_CAP}-cell cap')
-      assert (info.value.required, info.value.cap) == ((r + 1) * 4,
-                                                       COEFF_CELL_CAP)
-    # The last row the cap allows is still answered.
-    assert coeff_at(sys, r - 1, 1) == engine_row(sys, r - 1)[0]
+      assert (info.value.required, info.value.cap) == (cells, COEFF_CELL_CAP)
+
+    r = COEFF_CELL_CAP // 4
+    refuses(lambda: coeff_table(make_system(4, 4), r), (r + 1) * 4)
+    wide, n = make_system(2, 4097), 4097
+    refuses(lambda: coeff_at(wide, 4095, 1), 4096 * n)
+    refuses(lambda: coeff_at(wide, 10 ** 18, 1), n * n)
+    refuses(lambda: apply_coeff_expansion(wide, basic_tuple(wide), 4095),
+            4096 * n)
+    refuses(lambda: view_f(make_system(2, 8192), 1, 1), 4097 * 8192)
+    # The last row the cap allows is still answered, below the wrap by
+    # plain Pascal.
+    assert coeff_at(wide, 4094, 2048) == math.comb(4094, 2047) % 2
+
+  def test_single_rows_ignore_the_table_cap(self):
+    # Past r = COEFF_CELL_CAP / n a table is refused, one row is not.  The
+    # oracle steps the reduced count len + (r - len) % per.
+    sys, r = make_system(5, 4), 10 ** 7
+    with pytest.raises(CapExceededError):
+      coeff_table(sys, r)
+    for u in ((1, 2, 3, 4), basic_tuple(sys)):
+      summary = orbit_summary(sys, u)
+      want = ducci_iter(sys, u, summary.len + (r - summary.len) % summary.per)
+      assert apply_coeff_expansion(sys, u, r) == want
+    assert engine_row(sys, r) == want[::-1]
 
   def test_csv_snapshot(self):
     csv = coeff_table(make_system(4, 2), 2).to_csv()

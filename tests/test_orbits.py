@@ -163,6 +163,66 @@ class TestLenPer:
         assert top_per % per == 0, (str(sys), u)
 
 
+def dict_len_per_map(sys):
+  '''The former len_per_map: a dict with one tuple key per state.'''
+  succ = _statespace.successor_array(sys.m, sys.n)
+  lens, pers, _, _ = _statespace.tail_cycle_tables(succ)
+  return dict(zip(all_states(sys), zip(lens.tolist(), pers.tolist())))
+
+
+class TestLenPerMapping:
+  @pytest.mark.parametrize('m,n', DEFAULT_SYSTEMS)
+  def test_matches_the_former_dict(self, m, n):
+    sys = make_system(m, n)
+    table, want = len_per_map(sys), dict_len_per_map(sys)
+    assert table == want and want == table
+    assert not table != want and not want != table
+    assert list(table.items()) == list(want.items())
+    assert list(table.keys()) == list(want.keys())
+    assert list(table.values()) == list(want.values())
+    assert len(table) == len(want) == sys.state_count
+    assert all(table[u] == value for u, value in want.items())
+    assert all(type(x) is int for x in table[(0,) * n])
+
+  def test_differs_from_another_table(self):
+    sys = make_system(3, 3)
+    table, want = len_per_map(sys), dict_len_per_map(sys)
+    want[(1, 2, 0)] = (0, 1)
+    assert table != want and want != table
+    assert table != len_per_map(make_system(3, 2))
+
+  @pytest.mark.parametrize('key', [
+    (0, 0), (0, 0, 0, 0), (0, 0, 4), (0, 0, 5), (-1, 0, 0), (0, -4, 0),
+    [0, 0, 0], '000', 0, None, (0, 0, '0'), (0, 0, 0.5), np.zeros(3),
+  ], ids=repr)
+  def test_non_states_are_missing(self, key):
+    table = len_per_map(make_system(4, 3))
+    with pytest.raises(KeyError):
+      table[key]
+    assert key not in table
+    assert table.get(key) is None
+    assert table.get(key, 'absent') == 'absent'
+
+  def test_is_read_only(self):
+    table = len_per_map(make_system(2, 2))
+    with pytest.raises(TypeError):
+      table[(0, 0)] = (0, 1)
+    with pytest.raises(TypeError):
+      del table[(0, 0)]
+
+  def test_keeps_no_tuples(self):
+    # The former dict held 262,144 tuple keys: 52 MB retained.
+    sys = make_system(4, 9)
+    tracemalloc.start()
+    try:
+      table = len_per_map(sys)
+      retained = tracemalloc.get_traced_memory()[0]
+    finally:
+      tracemalloc.stop()
+    assert len(table) == 4 ** 9
+    assert retained < 8 << 20
+
+
 def class_representatives(m, n):
   '''The least state of each class under rotation and unit scaling.
 

@@ -11,8 +11,8 @@ from pathlib import Path
 import pytest
 
 import ducci
-from ducci import (build_graph, make_system, orbit_summary, predecessors,
-                   to_dot, to_edge_csv)
+from ducci import (build_graph, format_tuple, kernel_set, make_system,
+                   orbit_summary, predecessors, to_dot, to_edge_csv)
 from ducci.cli import main
 from ducci.verify import DEFAULT_SYSTEMS
 
@@ -183,12 +183,36 @@ class TestPredsAndKernel:
      '2ff18e0c8613a64b5daaee181a2ca3f603596e454826af3896d626f9426ada97'),
     (5, 4, 'text',
      '2f7cc9ec077d4cc6499a5663816f31e60d8103a90b7eef6df246fdcd58ae62d2'),
+    (12, 2, 'json',
+     'ed97e6d2a5bcd6d769f86fa69597137cdf206860cd7434aad9199c5c3fdfad85'),
+    (12, 2, 'text',
+     '040d8632724f057f11ead7566622fb8c6692f912741298f44abb00411849efbc'),
+    (10, 3, 'json',
+     '5fe74d788e43f34098f613d9b928dc1c453fc0db9ba9d73adebc10d3c7dd9098'),
+    (10, 3, 'text',
+     '1733288fbd4ad3f0aab9921f496cca98f98bc3fc2f96219ad9f2fb771dce5490'),
+    (12, 3, 'json',
+     'b67a1333cd0e328e0e55b1ad941681662ed1542736922624cd2ae7bf64d417ca'),
+    (12, 3, 'text',
+     'edb87d72e0f1138d1ecefb498aa0196219628c7b6cc309320e96c7fb1893e3e3'),
   ])
   def test_kernel_bytes_are_pinned(self, capsys, m, n, fmt, sha256):
     code, out, err = run_cli(capsys, 'kernel', '--m', str(m), '--n', str(n),
                              '--format', fmt)
     assert (code, err) == (0, '')
     assert hashlib.sha256(out.encode()).hexdigest() == sha256
+
+  # Moduli of 10 and more; the kernels of Z_12^2 and Z_10^3 hold only
+  # one-digit entries, that of Z_12^3 holds 10 and 11 too.
+  @pytest.mark.parametrize('m,n', [(12, 2), (10, 3), (12, 3)])
+  def test_kernel_bytes_match_per_tuple_text(self, capsys, m, n):
+    members = kernel_set(make_system(m, n)).sorted_members()
+    _, out, _ = run_cli(capsys, 'kernel', '--m', str(m), '--n', str(n))
+    assert out == json.dumps([list(u) for u in members],
+                             separators=(',', ':')) + '\n'
+    _, out, _ = run_cli(capsys, 'kernel', '--m', str(m), '--n', str(n),
+                        '--format', 'text')
+    assert out == ''.join(format_tuple(u) + '\n' for u in members)
 
   def test_kernel_cap_exits_three(self, capsys):
     code, out, err = run_cli(capsys, 'kernel', '--m', '6', '--n', '8')
@@ -285,6 +309,31 @@ class TestGraph:
   def test_odd_length_export_is_pinned(self, export, sha256):
     text = export(build_graph(make_system(3, 5)))
     assert hashlib.sha256(text.encode()).hexdigest() == sha256
+
+  # Moduli of 10 and more: entries of two digits in Z_12^2.
+  @pytest.mark.parametrize('m,n,export,sha256', [
+    (12, 2, to_dot,
+     'c75c793c7c764770cbabf7cb6ed78860e9e47c5be504e89e4c17d5021433f5b3'),
+    (12, 2, to_edge_csv,
+     '4cede7b6c9d56053fbc22fedf0dd7483a45153fabc7a1abf12638e176479c264'),
+    (10, 3, to_dot,
+     '76e7304bf2c7b3ac6924e1f4a04774105f512f07c2a3123ca21885198a72daae'),
+    (10, 3, to_edge_csv,
+     'cb45a819a4c5cc20591348d34e4de98a6d275d2c4cc7599d63a40721d483651f'),
+  ])
+  def test_large_modulus_export_is_pinned(self, m, n, export, sha256):
+    text = export(build_graph(make_system(m, n)))
+    assert hashlib.sha256(text.encode()).hexdigest() == sha256
+
+  @pytest.mark.parametrize('m,n', [(12, 2), (10, 3)])
+  def test_large_modulus_export_matches_per_tuple_text(self, m, n):
+    graph = build_graph(make_system(m, n))
+    edges = [(format_tuple(u), format_tuple(v)) for u, v in graph.edges]
+    assert to_dot(graph) == ''.join(
+      ['digraph ducci {\n', *(f'  "{u}";\n' for u, _ in edges),
+       *(f'  "{u}" -> "{v}";\n' for u, v in edges), '}\n'])
+    assert to_edge_csv(graph) == ''.join(
+      ['source,target\n', *(f'"{u}","{v}"\n' for u, v in edges)])
 
   def test_length_one_export(self):
     graph = build_graph(make_system(3, 1))

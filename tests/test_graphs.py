@@ -8,6 +8,8 @@ from ducci import (CapExceededError, ParameterError, build_graph,
                    component_of, format_tuple, kernel_set, make_system,
                    predecessors, to_dot, to_edge_csv, vanishes,
                    weak_components)
+from ducci.cli import main
+from ducci.limits import ENUM_NODE_CAP
 
 # The 12-node component of (3,1,3) in Z_4^3: a 3-cycle fed by a
 # two-level tree of predecessors.
@@ -84,11 +86,16 @@ class TestBuild:
     for u in graph.nodes:
       assert graph.indegree[u] == len(predecessors(sys, u))
 
-  def test_node_cap(self):
-    with pytest.raises(CapExceededError):
+  def test_node_cap(self, capsys):
+    with pytest.raises(CapExceededError) as info:
       build_graph(make_system(4, 11))
-    with pytest.raises(CapExceededError):
+    assert (info.value.required, info.value.cap) == (4 ** 11, ENUM_NODE_CAP)
+    with pytest.raises(CapExceededError) as info:
       build_graph(make_system(3, 3), max_nodes=10)
+    assert (info.value.required, info.value.cap) == (27, 10)
+    assert main(['graph', '--m', '4', '--n', '11']) == 3
+    captured = capsys.readouterr()
+    assert captured.out == '' and 'error:' in captured.err
 
 
 class TestComponents:

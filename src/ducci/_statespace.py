@@ -36,11 +36,12 @@ def digits(codes: np.ndarray, m: int, n: int) -> np.ndarray:
   return codes[:, None] // m ** np.arange(n - 1, -1, -1, dtype=np.int64) % m
 
 
-def texts(codes: np.ndarray, m: int, n: int, open_: str = '(',
-          close: str = ')') -> list[str]:
-  '''Text of the states with the given codes, "(d_1,...,d_n)" by default:
-  each joined from a table of "(d_1,...,d_h" by the high digits and one
-  of ",...,d_n)" by the low ones, so no tuple is made.'''
+def texts(codes: np.ndarray, m: int, n: int, open_: str,
+          close: str) -> list[str]:
+  '''Text of the states with the given codes, open_ + "d_1,...,d_n" +
+  close, punctuation and line ends included: each joined from a table
+  of open_ + "d_1,...,d_h" by the high digits and one of ",...,d_n" +
+  close by the low ones, so no tuple is made.'''
   half, sym = n // 2, [str(d) for d in range(m)]
   high = [open_ + ','.join(t) for t in product(sym, repeat=n - half)]
   low = [''.join(',' + d for d in t) + close for t in product(sym, repeat=half)]
@@ -98,13 +99,16 @@ def successor_power(succ: np.ndarray, r: int) -> np.ndarray:
   return acc
 
 
-def closure_generators(codes: np.ndarray, rows: np.ndarray,
-                       m: int) -> list[int] | None:
-  '''Greedy generators of a set K of states holding 0 (ascending codes,
-  digit matrix `rows`), or None if K is not closed under addition.
-  A member outside the span so far is a generator g once one pass shows
-  K + g in K, so K holds <generators>.  The span grows by multiples of
-  g, at least doubling: at most log2 |K| passes, not |K|^2 sums.'''
+def closure_generators(codes: np.ndarray, rows: np.ndarray, m: int,
+                       ) -> tuple[list[int], tuple[int, int] | None]:
+  '''(gens, escape) for a set K of states holding 0 (ascending codes,
+  digit matrix `rows`).  A member outside the span so far is a generator
+  g once one pass shows K + g in K.  The span grows by multiples of g,
+  at least doubling: at most log2 |K| passes, not |K|^2 sums.  If K is
+  closed under +, K = <gens> and escape is None.  Else the first g fails
+  and escape holds the positions of g and of its first partner v with
+  g + v outside K: the first such pair over all members, as K + u is in
+  K for each u in the span, which holds every member before g.'''
   n = rows.shape[1]
   weights = m ** np.arange(n - 1, -1, -1, dtype=np.int64)
   member, span = np.zeros(m ** n, dtype=bool), np.zeros(m ** n, dtype=bool)
@@ -112,14 +116,15 @@ def closure_generators(codes: np.ndarray, rows: np.ndarray,
   span_rows, gens = np.zeros((1, n), dtype=np.int64), []
   while (outside := np.flatnonzero(~span[codes])).size:
     g = rows[outside[0]]
-    if not member[((rows + g) % m) @ weights].all():
-      return None
+    inside = member[((rows + g) % m) @ weights]
+    if not inside.all():
+      return gens, (int(outside[0]), int(np.argmax(~inside)))
     multiples = np.arange(m + 1)[:, None] * g % m
     order = int(np.argmax(span[multiples[1:] @ weights])) + 1
     span_rows = ((span_rows + multiples[:order, None]) % m).reshape(-1, n)
     span[span_rows @ weights] = True
     gens.append(int(codes[outside[0]]))
-  return gens
+  return gens, None
 
 
 def tail_cycle_tables(succ: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -146,8 +151,6 @@ def tail_cycle_tables(succ: np.ndarray) -> tuple[np.ndarray, ...]:
   return lens, period[to_cycle], on_cycle, label[to_cycle]
 
 
-def kernel_codes(m: int, n: int,
-                 cap: int = ENUM_NODE_CAP) -> tuple[np.ndarray, np.ndarray]:
-  '''Sorted codes of the cycle states of Z_m^n and their digit matrix.'''
-  codes = np.flatnonzero(cycle_mask(successor_array(m, n, cap))[0])
-  return codes, digits(codes, m, n)
+def kernel_codes(m: int, n: int, cap: int = ENUM_NODE_CAP) -> np.ndarray:
+  '''Sorted codes of the cycle states of Z_m^n.'''
+  return np.flatnonzero(cycle_mask(successor_array(m, n, cap))[0])

@@ -32,8 +32,6 @@ import json
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import _statespace
 from .coeffs import (CoeffView, apply_coeff_expansion, binom_mod_pow2,
                      coeff_at, coeff_table, coeff_view)
@@ -43,7 +41,7 @@ from .core import (DucciSystem, ResidueTuple, add, basic_tuple, ducci_iter,
 from .errors import CapExceededError, ParameterError
 from .graphs import build_graph, component_of, to_dot, to_edge_csv, weak_components
 from .limits import ENUM_NODE_CAP, ORBIT_VISIT_CAP
-from .orbits import basic_len_per, kernel_set, orbit_summary, predecessors, vanishes
+from .orbits import basic_len_per, orbit_summary, predecessors, vanishes
 from .verify import CHECK_NAMES, exit_code, reports_to_jsonl, run_checks, summary_table
 
 __all__ = ['main', 'build_parser']
@@ -105,6 +103,12 @@ def _json_line(obj) -> str:
   return json.dumps(obj, separators=_JSON_SEP) + '\n'
 
 
+def _answer(args: argparse.Namespace, obj, text: str) -> int:
+  # `obj` as one JSON line under --format json, else `text`.
+  _emit(_json_line(obj) if args.format == 'json' else text, args.output)
+  return 0
+
+
 # --- subcommand bodies --------------------------------------------------
 
 def _cmd_step(sub, args) -> int:
@@ -122,11 +126,7 @@ def _cmd_step(sub, args) -> int:
     result = apply_coeff_expansion(sys_, u, args.r)
   else:
     result = ducci_iter(sys_, u, args.r)
-  if args.format == 'json':
-    _emit(_json_line(list(result)), args.output)
-  else:
-    _emit(format_tuple(result) + '\n', args.output)
-  return 0
+  return _answer(args, list(result), format_tuple(result) + '\n')
 
 
 def _cmd_orbit(sub, args) -> int:
@@ -151,37 +151,28 @@ def _cmd_basic(sub, args) -> int:
   sys_ = _system_from_args(sub, args)
   u = basic_tuple(sys_)
   length, per = basic_len_per(sys_, max_states=args.max_states)
-  if args.format == 'json':
-    _emit(_json_line({'tuple': format_tuple(u), 'len': length, 'per': per}),
-          args.output)
-  else:
-    _emit(f'tuple {format_tuple(u)}\nlen {length}\nper {per}\n', args.output)
-  return 0
+  return _answer(args, {'tuple': format_tuple(u), 'len': length, 'per': per},
+                 f'tuple {format_tuple(u)}\nlen {length}\nper {per}\n')
 
 
 def _cmd_preds(sub, args) -> int:
   sys_ = _system_from_args(sub, args)
   u = _tuple_from_args(sub, sys_, args.tuple)
   found = predecessors(sys_, u)
-  if args.format == 'json':
-    _emit(_json_line([list(v) for v in found]), args.output)
-  else:
-    _emit(''.join(format_tuple(v) + '\n' for v in found), args.output)
-  return 0
+  return _answer(args, [list(v) for v in found],
+                 ''.join(format_tuple(v) + '\n' for v in found))
 
 
 def _cmd_kernel(sub, args) -> int:
   # Member text is joined from digit-string tables, not made per tuple.
   sys_ = _system_from_args(sub, args)
   m, n = sys_.m, sys_.n
-  rows = kernel_set(sys_, max_states=args.max_states).rows
-  codes = rows @ m ** np.arange(n - 1, -1, -1, dtype=np.int64)
+  codes = _statespace.kernel_codes(m, n, args.max_states)
   if args.format == 'json':
     _emit('[' + ','.join(_statespace.texts(codes, m, n, '[', ']')) + ']\n',
           args.output)
   else:
-    _emit(''.join(t + '\n' for t in _statespace.texts(codes, m, n)),
-          args.output)
+    _emit(''.join(_statespace.texts(codes, m, n, '(', ')\n')), args.output)
   return 0
 
 
@@ -212,11 +203,7 @@ def _cmd_coeff(sub, args) -> int:
     if r < 0:
       sub.error('row must be >= 0')
     value = coeff_at(sys_, r, s)
-    if args.format == 'json':
-      _emit(_json_line({'r': r, 's': s, 'value': value}), args.output)
-    else:
-      _emit(f'{value}\n', args.output)
-    return 0
+    return _answer(args, {'r': r, 's': s, 'value': value}, f'{value}\n')
   kind, _, rest = args.view.partition(':')
   if kind not in ('f', 'g', 'h') or not rest:
     sub.error("--view looks like 'f:gamma,delta', 'g:gamma,eps,delta', "
@@ -227,23 +214,15 @@ def _cmd_coeff(sub, args) -> int:
   else:
     view = CoeffView(kind, params[0], params[1])
   value = coeff_view(sys_, view)
-  if args.format == 'json':
-    _emit(_json_line({'view': args.view, 'value': value}), args.output)
-  else:
-    _emit(f'{value}\n', args.output)
-  return 0
+  return _answer(args, {'view': args.view, 'value': value}, f'{value}\n')
 
 
 def _cmd_binom(sub, args) -> int:
   if args.big < 0 or args.small < 0 or args.mod_exp < 1:
     sub.error('need N >= 0, K >= 0, L >= 1')
   value = binom_mod_pow2(args.big, args.small, args.mod_exp)
-  if args.format == 'json':
-    _emit(_json_line({'n': args.big, 'k': args.small, 'l': args.mod_exp,
-                      'value': value}), args.output)
-  else:
-    _emit(f'{value}\n', args.output)
-  return 0
+  return _answer(args, {'n': args.big, 'k': args.small, 'l': args.mod_exp,
+                        'value': value}, f'{value}\n')
 
 
 def _cmd_graph(sub, args) -> int:
@@ -258,11 +237,8 @@ def _cmd_graph(sub, args) -> int:
   else:
     summary = {'nodes': graph.node_count, 'edges': graph.edge_count,
                'components': len(weak_components(graph))}
-    if args.format == 'json':
-      _emit(_json_line(summary), args.output)
-    else:
-      _emit(''.join(f'{key} {val}\n' for key, val in summary.items()),
-            args.output)
+    return _answer(args, summary, ''.join(f'{key} {val}\n'
+                                          for key, val in summary.items()))
   return 0
 
 

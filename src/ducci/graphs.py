@@ -16,7 +16,7 @@ import numpy as np
 
 from . import _statespace
 from .core import DucciSystem, ResidueTuple, format_tuple, validate_tuple
-from .errors import CapExceededError, ParameterError
+from .errors import ParameterError
 from .limits import ENUM_NODE_CAP
 
 __all__ = [
@@ -76,13 +76,8 @@ class TransitionGraph:
 def build_graph(sys: DucciSystem, *,
                 max_nodes: int = ENUM_NODE_CAP) -> TransitionGraph:
   '''The full transition graph on all m^n states.'''
-  count = sys.state_count
-  if count > max_nodes:
-    raise CapExceededError(
-      f'{sys} has {count} states, node cap is {max_nodes}',
-      required=count, cap=max_nodes)
-  return TransitionGraph(sys, np.arange(count),
-                         _statespace.successor_array(sys.m, sys.n, max_nodes))
+  succ = _statespace.successor_array(sys.m, sys.n, max_nodes)
+  return TransitionGraph(sys, np.arange(len(succ)), succ)
 
 
 def component_of(graph: TransitionGraph,
@@ -111,23 +106,21 @@ def weak_components(graph: TransitionGraph) -> list[TransitionGraph]:
           for g in sorted(groups, key=lambda g: g[0])]
 
 
-def _edge_texts(graph: TransitionGraph) -> list[list[str]]:
-  # Canonical text of each source and each target.
-  m, n = graph.sys.m, graph.sys.n
-  return [_statespace.texts(codes, m, n)
-          for codes in (graph.codes, graph.targets)]
-
-
 def to_dot(graph: TransitionGraph) -> str:
   '''DOT text: node lines in lexicographic order, then edge lines in
   source order.  Output is byte-stable for a given graph.'''
-  sources, targets = _edge_texts(graph)
-  return ''.join(['digraph ducci {\n', *map('  "{}";\n'.format, sources),
-                  *map('  "{}" -> "{}";\n'.format, sources, targets), '}\n'])
+  m, n, codes = graph.sys.m, graph.sys.n, graph.codes
+  heads = _statespace.texts(codes, m, n, '  "(', ')" -> ')
+  tails = _statespace.texts(graph.targets, m, n, '"(', ')";\n')
+  return ''.join(['digraph ducci {\n',
+                  *_statespace.texts(codes, m, n, '  "(', ')";\n'),
+                  *map(str.__add__, heads, tails), '}\n'])
 
 
 def to_edge_csv(graph: TransitionGraph) -> str:
   '''Edge list as CSV with header source,target; fields are quoted
   because canonical tuple text contains commas.'''
-  lines = map('"{}","{}"\n'.format, *_edge_texts(graph))
-  return ''.join(['source,target\n', *lines])
+  m, n = graph.sys.m, graph.sys.n
+  sources = _statespace.texts(graph.codes, m, n, '"(', ')",')
+  targets = _statespace.texts(graph.targets, m, n, '"(', ')"\n')
+  return ''.join(['source,target\n', *map(str.__add__, sources, targets)])

@@ -169,8 +169,7 @@ def orbit_len_per_lowmem(sys: DucciSystem, u: Sequence[int], *,
   '''(pre-period, period) in O(sqrt(max_steps)) memory, storing no orbit.
 
   Refuses exactly when len + per > max_steps, like `orbit_summary` with
-  the same message, `required` and `cap`.  This is a deliberate change:
-  the Brent walk it replaces refused on its own, larger step count.
+  the same message, `required` and `cap`.
   '''
   return _len_per(sys, validate_tuple(sys, u), max_steps)
 
@@ -217,8 +216,8 @@ def kernel_set(sys: DucciSystem, *,
   array: the image of D^(2^t) stops shrinking exactly when it has become
   the set of cycle states.
   '''
-  _, rows = _statespace.kernel_codes(sys.m, sys.n, max_states)
-  return KernelSet(rows)
+  codes = _statespace.kernel_codes(sys.m, sys.n, max_states)
+  return KernelSet(_statespace.digits(codes, sys.m, sys.n))
 
 
 class _Values(ValuesView):

@@ -58,10 +58,10 @@ from types import SimpleNamespace
 import numpy as np
 
 from . import _statespace
-from .coeffs import (apply_coeff_expansion, binom_mod_pow2,
+from .coeffs import (_power, apply_coeff_expansion, binom_mod_pow2,
                      binom_mod_pow2_range, coeff_at)
-from .core import _step, basic_tuple, make_system
-from .errors import CapExceededError
+from .core import basic_tuple, make_system
+from .errors import CapExceededError, ParameterError
 from .limits import ENUM_NODE_CAP, ORBIT_VISIT_CAP
 from .orbits import basic_len_per
 
@@ -184,16 +184,13 @@ def verify_length_formula(k_range=range(1, 6), l_range=range(1, 7), *,
 
 def verify_length_lower_bound(k_range=range(1, 6),
                               l_range=range(1, 7)) -> CheckReport:
-  '''One step before the formula value the basic iterate is nonzero.'''
+  '''One step before the formula value the basic iterate is nonzero.
+  That iterate is coefficient row `steps`, (1+x)^steps, reversed.'''
   def case(k, l):
     if k < 1 or l < 1:
       return _NEEDS_K1_L1
-    sys = make_system(2 ** l, 2 ** k)
     steps = (l + 1) * 2 ** (k - 1) - 1
-    cur = basic_tuple(sys)
-    for _ in range(steps):
-      cur = _step(cur, sys.m)
-    if not any(cur):
+    if not _power(make_system(2 ** l, 2 ** k), steps, [1]).any():
       return 'fail', {'steps': steps, 'iterate': 'zero'}
     return 'pass', {'steps': steps}
   return _kl_sweep('length_lower_bound', k_range, l_range, case)
@@ -207,7 +204,10 @@ def verify_vanishing_bound(k_range=range(1, 6), l_range=range(1, 7), *,
   Exhaustive, by a power of the successor array, when the space has at
   most `exhaustive_limit` states; seeded samples stepped together
   otherwise.  Also asserts the formula value never exceeds this bound.
+  Raises `ParameterError` when `samples` < 1.
   '''
+  if samples < 1:
+    raise ParameterError(f'samples must be >= 1, got {samples}')
   rng = random.Random(seed)
 
   def case(k, l):
@@ -256,10 +256,10 @@ def verify_trivial_kernel(k_range=range(1, 6), l_range=range(1, 7), *,
     if k < 1 or l < 1:
       return _NEEDS_K1_L1
     sys = make_system(2 ** l, 2 ** k)
-    codes, rows = _statespace.kernel_codes(sys.m, sys.n, max_states)
+    codes = _statespace.kernel_codes(sys.m, sys.n, max_states)
     if codes.tolist() != [0]:
-      return 'fail', {'cycle_state': rows[np.flatnonzero(codes)[0]].tolist(),
-                      'order': len(codes)}
+      state = _statespace.digits(codes[codes != 0][:1], sys.m, sys.n)[0]
+      return 'fail', {'cycle_state': state.tolist(), 'order': len(codes)}
     return 'pass', {'states': sys.state_count}
   return _kl_sweep('trivial_kernel', k_range, l_range, case)
 
@@ -268,24 +268,23 @@ def verify_cycle_subgroup(m: int, n: int, *,
                           max_states: int = ENUM_NODE_CAP) -> CheckReport:
   '''The kernel is a subgroup of Z_m^n, rotation- and scaling-closed,
   and the pair-sum map permutes it.  Closure under + is tested against
-  a greedy generating set; a scan of member pairs then names an
-  escaping pair.  A finite set that holds 0 and is closed under + is a
+  a greedy generating set, which also names the first escaping pair of
+  members.  A finite set that holds 0 and is closed under + is a
   subgroup: -u and lam * u are sums of copies of u, so negation and
   scaling need no pass of their own.'''
   def case(m, n):
     sys = make_system(m, n)
-    codes, mat = _statespace.kernel_codes(m, n, max_states)
+    codes = _statespace.kernel_codes(m, n, max_states)
+    mat = _statespace.digits(codes, m, n)
     weights = np.array([m ** (n - 1 - i) for i in range(n)], dtype=np.int64)
     mask = np.zeros(sys.state_count, dtype=bool)
     mask[codes] = True
     if codes[0] != 0:
       return 'fail', {'violation': 'identity_missing'}
-    if _statespace.closure_generators(codes, mat, m) is None:
-      for pos, row in enumerate(mat):
-        inside = mask[((mat + row) % m) @ weights]
-        if not inside.all():
-          return 'fail', {'violation': 'sum_escapes', 'u': mat[pos].tolist(),
-                          'v': mat[int(np.argmax(~inside))].tolist()}
+    escape = _statespace.closure_generators(codes, mat, m)[1]
+    if escape is not None:
+      u, v = mat[list(escape)].tolist()
+      return 'fail', {'violation': 'sum_escapes', 'u': u, 'v': v}
     rotated = np.roll(mat, -1, axis=1)
     image = ((mat + rotated) % m) @ weights
     for kind, targets in (('rotation_escapes', rotated @ weights),

@@ -376,6 +376,13 @@ class TestVerify:
     reasons = [c.get('reason', '') for c in cases if c['verdict'] == 'skip']
     assert reasons and all(r.startswith('cap') for r in reasons)
 
+  @pytest.mark.parametrize('samples', ['0', '-3'])
+  def test_no_samples_is_a_usage_error(self, capsys, samples):
+    code, out, err = run_cli(capsys, 'verify', 'bound', '--k-min', '4',
+                             '--k-max', '4', '--samples', samples)
+    assert (code, out) == (2, '')
+    assert 'samples must be >= 1' in err
+
   def test_single_system_restriction(self, capsys):
     code, out, _ = run_cli(capsys, 'verify', 'subgroup',
                            '--m', '3', '--n', '3')

@@ -174,10 +174,11 @@ def check_against_oracles(succ):
 def test_desk_systems_match_python_passes(m, n):
   succ = _statespace.successor_array(m, n)
   check_against_oracles(succ)
-  codes, rows = _statespace.kernel_codes(m, n)
+  codes = _statespace.kernel_codes(m, n)
   assert codes.tolist() == [v for v, flag in enumerate(peel_oracle(succ))
                             if flag]
   states = list(itertools.product(range(m), repeat=n))
+  rows = _statespace.digits(codes, m, n)
   assert rows.tolist() == [list(states[v]) for v in codes]
 
 

@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 import ducci.verify
 from ducci import (_statespace, exit_code, reports_to_jsonl, run_checks,
                    summary_table)
-from ducci.errors import CapExceededError
+from ducci.errors import CapExceededError, ParameterError
 from ducci.verify import (CHECK_NAMES, DEFAULT_SYSTEMS, CaseResult,
                           CheckReport, verify_binary_length_formula,
                           verify_binomial_congruences, verify_coeff_pair_sum1,
@@ -47,6 +47,11 @@ class TestChecksPass:
     assert modes[(1, 1)] == 'exhaustive'
     assert modes[(3, 2)] == 'exhaustive'     # 2^16 states, right at the edge
     assert 'samples' in report.parameters
+
+  @pytest.mark.parametrize('samples', [0, -3])
+  def test_vanishing_bound_refuses_no_samples(self, samples):
+    with pytest.raises(ParameterError, match='samples'):
+      verify_vanishing_bound(range(4, 5), range(1, 2), samples=samples)
 
   def test_binary_length_formula(self):
     report = verify_binary_length_formula(16)
@@ -305,21 +310,24 @@ class TestClosure:
     m, n, codes = case
     codes = np.array(codes, dtype=np.int64)
     mat = _statespace.digits(codes, m, n)
-    gens = _statespace.closure_generators(codes, mat, m)
+    gens, escape = _statespace.closure_generators(codes, mat, m)
     want = old_subgroup_witness(codes, mat, m, n)
-    assert (gens is None) == (want is not None
-                              and want['violation'] == 'sum_escapes')
-    if gens is not None:
+    closed = want is None or want['violation'] != 'sum_escapes'
+    assert (escape is None) == closed
+    if closed:
       assert span_oracle(gens, m, n) == codes.tolist()
       assert len(gens) <= len(codes).bit_length() - 1
+    else:
+      assert [mat[i].tolist() for i in escape] == [want['u'], want['v']]
 
   @pytest.mark.parametrize('m,n', DEFAULT_SYSTEMS)
   def test_at_most_log2_generators(self, m, n):
     # The pass count that replaced the |K|^2 pair scan, pinned without a
     # wall-clock bound: each generator at least doubles the span.
-    codes, rows = _statespace.kernel_codes(m, n)
-    gens = _statespace.closure_generators(codes, rows, m)
-    assert gens is not None
+    codes = _statespace.kernel_codes(m, n)
+    gens, escape = _statespace.closure_generators(
+      codes, _statespace.digits(codes, m, n), m)
+    assert escape is None
     assert len(gens) <= len(codes).bit_length() - 1
 
 
@@ -424,8 +432,7 @@ class TestFailurePaths:
     codes = np.array(members, dtype=np.int64)
     mat = _statespace.digits(codes, m, n)
     with pytest.MonkeyPatch.context() as patch:
-      patch.setattr(_statespace, 'kernel_codes',
-                    lambda m_, n_, cap: (codes, mat))
+      patch.setattr(_statespace, 'kernel_codes', lambda m_, n_, cap: codes)
       report = verify_cycle_subgroup(m, n)
     want = old_subgroup_witness(codes, mat, m, n)
     assert report.cases[0].witness == want
@@ -435,8 +442,7 @@ class TestFailurePaths:
     # {0, (0,1), (1,0)} in Z_3^2: (0,1) + (0,1) = (0,2) is outside.
     codes = np.array([0, 1, 3])
     with pytest.MonkeyPatch.context() as patch:
-      patch.setattr(_statespace, 'kernel_codes',
-                    lambda m, n, cap: (codes, _statespace.digits(codes, 3, 2)))
+      patch.setattr(_statespace, 'kernel_codes', lambda m, n, cap: codes)
       report = verify_cycle_subgroup(3, 2)
     assert report.counterexample == {'m': 3, 'n': 2,
                                      'violation': 'sum_escapes',

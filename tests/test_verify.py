@@ -448,6 +448,21 @@ class TestFailurePaths:
                                      'violation': 'sum_escapes',
                                      'u': [0, 1], 'v': [0, 1]}
 
+  def test_trivial_kernel_names_the_smallest_nonzero_member(self):
+    codes = np.array([0, 6, 9])     # (0,0), (1,2), (2,1) in Z_4^2
+    with pytest.MonkeyPatch.context() as patch:
+      patch.setattr(_statespace, 'kernel_codes', lambda m, n, cap: codes)
+      report = verify_trivial_kernel(range(1, 2), range(2, 3))
+    assert report.counterexample == {'k': 1, 'l': 2, 'cycle_state': [1, 2],
+                                     'order': 3}
+
+  def test_lower_bound_fails_on_a_zero_row(self):
+    with pytest.MonkeyPatch.context() as patch:
+      patch.setattr(ducci.verify, '_power', lambda sys, r, v: np.zeros(1))
+      report = verify_length_lower_bound(range(1, 2), range(2, 3))
+    assert report.counterexample == {'k': 1, 'l': 2, 'steps': 2,
+                                     'iterate': 'zero'}
+
   @settings(max_examples=60, deadline=None)
   @given(st.sampled_from([(2, 2), (3, 2), (2, 4), (4, 2), (3, 4), (6, 2)]),
          st.integers(0, 10 ** 6), st.integers(0, 10 ** 6), st.booleans())

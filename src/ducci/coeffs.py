@@ -68,20 +68,36 @@ def _times(sys: DucciSystem, a: np.ndarray, b: np.ndarray) -> np.ndarray:
   full = np.convolve(a, b)
   head, tail = full[:sys.n], full[sys.n:]
   head[:len(tail)] += tail  # x^n = 1
+  if head.dtype == np.uint64:  # wrapped mod 2^64, which m divides
+    return head & np.uint64(sys.m - 1)
   return head % sys.m
 
 
 def _power(sys: DucciSystem, r: int, v: Sequence[int]) -> np.ndarray:
   # (1+x)^r * v in Z_m[x]/(x^n - 1) by square-and-multiply.  A product
   # cell sums at most n products of residues, so int64 is exact while
-  # n * (m-1)^2 < 2^63; larger moduli use Python ints.
-  dtype = np.int64 if sys.n * (sys.m - 1) ** 2 < 1 << 63 else object
+  # n * (m-1)^2 < 2^63.  Past that, uint64 arithmetic wraps mod 2^64,
+  # which is exact mod any m dividing 2^64; other moduli use Python ints.
+  if sys.n * (sys.m - 1) ** 2 < 1 << 63:
+    dtype = np.int64
+  else:
+    dtype = np.uint64 if (1 << 64) % sys.m == 0 else object
   out = np.ones(1, dtype)
   for bit in f'{r:b}':
     out = _times(sys, out, out)
     if bit == '1':
       out = _times(sys, out, np.ones(2, dtype))  # times 1 + x
   return _times(sys, out, np.array(v, dtype))
+
+
+def _row(sys: DucciSystem, r: int) -> np.ndarray:
+  '''Coefficient row r, (1+x)^r, as n residues; refused when its
+  products pass the cell cap.'''
+  _check_row(sys, r)
+  head = _power(sys, r, [1])  # min(r + 1, n) coefficients
+  row = np.zeros(sys.n, head.dtype)
+  row[:len(head)] = head
+  return row
 
 
 def _flip(x: Sequence[int]) -> list[int]:
@@ -130,9 +146,7 @@ def coeff_table(sys: DucciSystem, r_max: int) -> CoeffTable:
 
 def coeff_at(sys: DucciSystem, r: int, s: int) -> int:
   '''Single cell a(r, s); column index normalized cyclically.'''
-  _check_row(sys, r)
-  row = _power(sys, r, [1] + [0] * (sys.n - 1))
-  return int(row[_norm_col(sys.n, s) - 1])
+  return int(_row(sys, r)[_norm_col(sys.n, s) - 1])
 
 
 def apply_coeff_expansion(sys: DucciSystem, u: Sequence[int],

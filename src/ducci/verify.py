@@ -58,7 +58,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from . import _statespace
-from .coeffs import (_power, apply_coeff_expansion, binom_mod_pow2,
+from .coeffs import (_row, apply_coeff_expansion, binom_mod_pow2,
                      binom_mod_pow2_range, coeff_at)
 from .core import basic_tuple, make_system
 from .errors import CapExceededError, ParameterError
@@ -190,7 +190,7 @@ def verify_length_lower_bound(k_range=range(1, 6),
     if k < 1 or l < 1:
       return _NEEDS_K1_L1
     steps = (l + 1) * 2 ** (k - 1) - 1
-    if not _power(make_system(2 ** l, 2 ** k), steps, [1]).any():
+    if not _row(make_system(2 ** l, 2 ** k), steps).any():
       return 'fail', {'steps': steps, 'iterate': 'zero'}
     return 'pass', {'steps': steps}
   return _kl_sweep('length_lower_bound', k_range, l_range, case)

@@ -11,6 +11,7 @@ import math
 import random
 import tracemalloc
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -18,6 +19,7 @@ from ducci import (CapExceededError, CoeffView, ParameterError,
                    apply_coeff_expansion, basic_tuple, binom_mod_pow2,
                    coeff_at, coeff_table, coeff_view, ducci_iter,
                    make_system, orbit_summary, view_f, view_g, view_h)
+from ducci.coeffs import _row
 from ducci.limits import COEFF_CELL_CAP
 from ducci.verify import DEFAULT_SYSTEMS
 
@@ -157,6 +159,25 @@ class TestAgainstRecurrence:
       for u in ((m - 1,) * n, tuple(rng.randrange(m) for _ in range(n))):
         for r in range(0, 40, 3):
           assert apply_coeff_expansion(sys, u, r) == ducci_iter(sys, u, r)
+
+  @given(st.sampled_from([2 ** 31, 2 ** 40, 2 ** 63, 2 ** 64, 2 ** 63 - 1,
+                          10 ** 19 + 7]),
+         st.integers(1, 24), st.integers(0, 10 ** 9),
+         st.randoms(use_true_random=False))
+  @settings(max_examples=80, deadline=None)
+  def test_wide_moduli_match_python_ints_and_steps(self, m, n, r, rnd):
+    # Past the int64 bound a modulus dividing 2^64 runs in wrapping
+    # uint64.  The oracles are stepping, and the Python-int path at the
+    # multiple (3 * m) << 64 of m, which divides no power of two.
+    sys = make_system(m, n)
+    row = _row(sys, r)
+    wraps = n * (m - 1) ** 2 >= 1 << 63 and (1 << 64) % m == 0
+    assert (row.dtype == np.uint64) == wraps
+    ints = _row(make_system(3 * m << 64, n), r)
+    assert ints.dtype == object
+    assert row.tolist() == [x % m for x in ints.tolist()]
+    u = tuple(rnd.randrange(m) for _ in range(n))
+    assert apply_coeff_expansion(sys, u, r % 60) == ducci_iter(sys, u, r % 60)
 
 
 class TestIdentities:

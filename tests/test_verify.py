@@ -458,7 +458,7 @@ class TestFailurePaths:
 
   def test_lower_bound_fails_on_a_zero_row(self):
     with pytest.MonkeyPatch.context() as patch:
-      patch.setattr(ducci.verify, '_power', lambda sys, r, v: np.zeros(1))
+      patch.setattr(ducci.verify, '_row', lambda sys, r: np.zeros(sys.n))
       report = verify_length_lower_bound(range(1, 2), range(2, 3))
     assert report.counterexample == {'k': 1, 'l': 2, 'steps': 2,
                                      'iterate': 'zero'}

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import repeat
 
 import numpy as np
 
@@ -109,12 +110,12 @@ def weak_components(graph: TransitionGraph) -> list[TransitionGraph]:
 def to_dot(graph: TransitionGraph) -> str:
   '''DOT text: node lines in lexicographic order, then edge lines in
   source order.  Output is byte-stable for a given graph.'''
-  m, n, codes = graph.sys.m, graph.sys.n, graph.codes
-  heads = _statespace.texts(codes, m, n, '  "(', ')" -> ')
-  tails = _statespace.texts(graph.targets, m, n, '"(', ')";\n')
+  m, n = graph.sys.m, graph.sys.n
+  nodes = _statespace.texts(graph.codes, m, n, '  "(', ')"')
+  tails = _statespace.texts(graph.targets, m, n, ' -> "(', ')";\n')
   return ''.join(['digraph ducci {\n',
-                  *_statespace.texts(codes, m, n, '  "(', ')";\n'),
-                  *map(str.__add__, heads, tails), '}\n'])
+                  *map(str.__add__, nodes, repeat(';\n')),
+                  *map(str.__add__, nodes, tails), '}\n'])
 
 
 def to_edge_csv(graph: TransitionGraph) -> str:

@@ -356,7 +356,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
   sub.add_argument('--m', type=int, help='restrict system checks (with --n)')
   sub.add_argument('--n', type=int, help='restrict system checks (with --m)')
   sub.add_argument('--max-states', type=int, default=ENUM_NODE_CAP,
-                   help='state enumeration cap')
+                   help='state enumeration cap of subgroup and preds')
 
   return parser, table
 

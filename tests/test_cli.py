@@ -368,9 +368,8 @@ class TestVerify:
     assert json.loads(out)['verdict'] == 'skip'
 
   def test_cap_skip_exits_three(self, capsys):
-    code, out, _ = run_cli(capsys, 'verify', 'kernel',
-                           '--k-max', '3', '--l-max', '6',
-                           '--max-states', '100')
+    code, out, _ = run_cli(capsys, 'verify', 'subgroup', '--m', '4',
+                           '--n', '4', '--max-states', '100')
     assert code == 3
     cases = json.loads(out)['cases']
     reasons = [c.get('reason', '') for c in cases if c['verdict'] == 'skip']

@@ -10,9 +10,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import ducci.verify
-from ducci import (_statespace, exit_code, reports_to_jsonl, run_checks,
-                   summary_table)
+from ducci import (_statespace, coeffs, exit_code, make_system,
+                   reports_to_jsonl, run_checks, summary_table)
 from ducci.errors import CapExceededError, ParameterError
+from ducci.limits import COEFF_CELL_CAP
 from ducci.verify import (CHECK_NAMES, DEFAULT_SYSTEMS, CaseResult,
                           CheckReport, verify_binary_length_formula,
                           verify_binomial_congruences, verify_coeff_pair_sum1,
@@ -61,7 +62,9 @@ class TestChecksPass:
   def test_trivial_kernel(self):
     report = verify_trivial_kernel(range(1, 3), range(1, 3))
     assert report.verdict == 'pass'
-    assert all(c.verdict == 'pass' for c in report.cases)
+    assert [c.observed for c in report.cases] == [
+      {'mode': 'certificate', 'row': l * 2 ** k}
+      for k in (1, 2) for l in (1, 2)]
 
   def test_cycle_subgroup(self):
     for m, n in [(3, 2), (4, 3), (5, 2), (2, 6)]:
@@ -104,7 +107,7 @@ class TestSkips:
     assert exit_code([report]) == 0
 
   def test_cap_skip_sets_exit_three(self):
-    report = verify_trivial_kernel(range(2, 3), range(4, 5), max_states=10)
+    report = verify_cycle_subgroup(4, 3, max_states=10)
     assert report.verdict == 'skip'
     assert report.cases[0].reason.startswith('cap')
     assert exit_code([report]) == 3
@@ -196,24 +199,26 @@ class TestRunner:
   # sha256 of the full default sweep's JSONL, pinned so that a faster
   # check must reproduce every verdict, witness and byte of the old one.
   @pytest.mark.parametrize('seed,sha256', [
-    (0, '15f3e9d9a4f4e2dc3ad538310cefe2576406b348815e1f35b35fefdc436e4edd'),
+    (0, '63ea6f4efd504886229933962077efe3271ae24dfc4b03081f3df2ea7b35fc46'),
     (701,
-     '1e2de6610b9a7305fda3d212cbf886c7b7cd861e5a3d4977a83026e859b5d1d4'),
+     '75a3d7115aa090c770174b0f013b3807f159218c40e015b1bee67bfe67fa277a'),
   ])
   def test_default_sweep_jsonl_is_pinned(self, seed, sha256):
-    text = reports_to_jsonl(run_checks(seed=seed))
-    assert hashlib.sha256(text.encode()).hexdigest() == sha256
+    reports = run_checks(seed=seed)
+    assert hashlib.sha256(reports_to_jsonl(reports).encode()).hexdigest() == (
+      sha256)
+    assert exit_code(reports) == 0     # every case decided, none capped
 
   def test_narrow_sweep_jsonl_is_pinned(self):
     # Ranges starting at 0 reach every check's hypothesis skip (sum1's
     # per-k {'k': 0} case included), and a cap of 64 states reaches the
-    # cap skips of kernel, subgroup and preds; the default sweeps reach
-    # none of these.
+    # cap skips of subgroup and preds; the default sweeps reach none of
+    # these.  The kernel check reads one row and ignores the state cap.
     text = reports_to_jsonl(run_checks(
       k_min=0, k_max=2, l_min=0, l_max=3, j_min=0, j_max=3, n_max=3,
       systems=[(2, 3), (3, 2), (6, 8)], samples=5, seed=3, max_states=64))
     assert hashlib.sha256(text.encode()).hexdigest() == (
-      '66a1effc0210e2e0be528b490db842b31062e7b5eb559bf4c5212d545a9b315f')
+      '7e40c1eb059c736c64441e8e7034404ed2c21ec21624c052ff1fbd0bea4a4f7d')
 
 
 class TestReports:
@@ -448,13 +453,14 @@ class TestFailurePaths:
                                      'violation': 'sum_escapes',
                                      'u': [0, 1], 'v': [0, 1]}
 
-  def test_trivial_kernel_names_the_smallest_nonzero_member(self):
-    codes = np.array([0, 6, 9])     # (0,0), (1,2), (2,1) in Z_4^2
+  def test_trivial_kernel_witness_is_the_flipped_row(self):
+    # A nonzero row r is (1+x)^r; flipped, it is D^r(1, 0, 0, 0).
     with pytest.MonkeyPatch.context() as patch:
-      patch.setattr(_statespace, 'kernel_codes', lambda m, n, cap: codes)
-      report = verify_trivial_kernel(range(1, 2), range(2, 3))
-    assert report.counterexample == {'k': 1, 'l': 2, 'cycle_state': [1, 2],
-                                     'order': 3}
+      patch.setattr(ducci.verify, '_row',
+                    lambda sys, r: np.array([1, 2, 0, 0]))
+      report = verify_trivial_kernel(range(2, 3), range(2, 3))
+    assert report.counterexample == {'k': 2, 'l': 2, 'row': 8,
+                                     'cycle_state': [1, 0, 0, 2]}
 
   def test_lower_bound_fails_on_a_zero_row(self):
     with pytest.MonkeyPatch.context() as patch:
@@ -533,3 +539,49 @@ class TestFailurePaths:
     assert got[:first_fail + 1] == want[:first_fail + 1]
     assert all(c.observed['mode'] == 'sampled'
                for c in report.cases[:first_fail])
+
+
+# --- the kernel certificate against enumeration ---------------------------
+#
+# The images D^r(Z_m^n) are nested subgroups, each strict shrink at least
+# halves them, so from r = log2 m^n on they are the cycle states: row
+# n * bitlen(m - 1) is zero exactly when the kernel is {0}, and otherwise
+# flips to a nonzero cycle state.
+
+class TestKernelCertificate:
+  @pytest.mark.parametrize('m,n', DEFAULT_SYSTEMS)
+  def test_certificate_matches_enumeration(self, m, n):
+    row = coeffs._row(make_system(m, n), n * (m - 1).bit_length())
+    codes = _statespace.kernel_codes(m, n).tolist()
+    assert (not row.any()) == (codes == [0])
+    if row.any():
+      assert _statespace.encode(coeffs._flip(row.tolist()), m) in codes
+
+  def test_check_matches_enumeration(self):
+    grid = [(k, l) for k in range(1, 5) for l in range(1, 11)
+            if l * 2 ** k <= 20]
+    report = verify_trivial_kernel(range(1, 5), range(1, 11))
+    verdicts = {(c.params['k'], c.params['l']): c.verdict
+                for c in report.cases}
+    for k, l in grid:
+      codes = _statespace.kernel_codes(2 ** l, 2 ** k).tolist()
+      assert (verdicts[k, l] == 'pass') == (codes == [0]), (k, l)
+
+  def test_check_never_enumerates(self, monkeypatch):
+    def refuse(*args):
+      raise AssertionError('the kernel check enumerated a state space')
+
+    monkeypatch.setattr(_statespace, 'kernel_codes', refuse)
+    monkeypatch.setattr(_statespace, 'successor_array', refuse)
+    report = verify_trivial_kernel()
+    assert report.verdict == 'pass'
+    assert all(c.verdict == 'pass' for c in report.cases)
+
+  def test_rows_past_the_cell_cap_are_cap_skips(self):
+    # A row of Z_{2^l}^{2^k} multiplies 2^k by 2^k cells: k = 12 fits.
+    for check in (verify_trivial_kernel, verify_length_lower_bound):
+      report = check(range(12, 14), range(1, 2))
+      assert [c.verdict for c in report.cases] == ['pass', 'skip']
+      assert report.cases[1].reason == (
+        f'cap: table of {2 ** 26} cells exceeds the {COEFF_CELL_CAP}-cell cap')
+      assert exit_code([report]) == 3

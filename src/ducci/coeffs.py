@@ -68,9 +68,9 @@ def _times(sys: DucciSystem, a: np.ndarray, b: np.ndarray) -> np.ndarray:
   full = np.convolve(a, b)
   head, tail = full[:sys.n], full[sys.n:]
   head[:len(tail)] += tail  # x^n = 1
-  if head.dtype == np.uint64:  # wrapped mod 2^64, which m divides
-    return head & np.uint64(sys.m - 1)
-  return head % sys.m
+  # Past the int64 bound a modulus dividing 2^64 runs in uint64, which
+  # wraps mod 2^64: nothing is left to reduce when m is 2^64 itself.
+  return head if sys.m == 1 << 64 else head % sys.m
 
 
 def _power(sys: DucciSystem, r: int, v: Sequence[int]) -> np.ndarray:

@@ -89,16 +89,6 @@ def cycle_mask(succ: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     on_cycle = image
 
 
-def successor_power(succ: np.ndarray, r: int) -> np.ndarray:
-  '''succ applied r times to every state, by square-and-multiply.'''
-  acc = np.arange(len(succ))
-  while r:
-    if r & 1:
-      acc = succ[acc]
-    succ, r = succ[succ], r >> 1
-  return acc
-
-
 def closure_generators(codes: np.ndarray, rows: np.ndarray, m: int,
                        ) -> tuple[list[int], tuple[int, int] | None]:
   '''(gens, escape) for a set K of states holding 0 (ascending codes,

@@ -60,7 +60,7 @@ def _check_row(sys: DucciSystem, r: int, name: str = 'row index') -> None:
   # The cell cap bounds the work of one row: each of its O(log r)
   # convolutions multiplies n by at most min(r + 1, n) coefficients.
   _check_index(r, name)
-  _check_cells(min(r + 1, sys.n) * sys.n)
+  _check_cells(min(r + 1, sys.n) * sys.n, 'row products')
 
 
 def _times(sys: DucciSystem, a: np.ndarray, b: np.ndarray) -> np.ndarray:

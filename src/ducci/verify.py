@@ -39,14 +39,15 @@ reaches the checks through `_CHECKS`, one row per CLI name with that
 check's default ranges.  Adding a check means one case function and
 one row.
 
-The trivial kernel is proved by a certificate, one coefficient row
-that is zero exactly when the kernel is {0}, and is never enumerated.
-State-space checks are numpy passes on integer state codes: closure
-against a greedy generating set of the kernel, the vanishing bound as
-a power of the successor array, predecessor families by a stable sort
-of it.  Congruence cases read coefficient rows computed at the
-largest requested modulus 2^max(l) and assert residues mod their own
-2^l.
+The trivial kernel and, on spaces of at most 2^16 states, the
+vanishing bound are proved by one coefficient row, row l * 2^k, and
+never enumerated: the kernel is {0}, and every state vanishes, exactly
+when that row is zero.  Larger spaces of the vanishing bound step
+seeded samples.  State-space checks are numpy passes on integer state
+codes: closure against a greedy generating set of the kernel,
+predecessor families by a stable sort of the successor array.
+Congruence cases read coefficient rows computed at the largest
+requested modulus 2^max(l) and assert residues mod their own 2^l.
 '''
 
 from __future__ import annotations
@@ -60,11 +61,11 @@ from types import SimpleNamespace
 import numpy as np
 
 from . import _statespace
-from .coeffs import (_flip, _row, apply_coeff_expansion, binom_mod_pow2,
-                     binom_mod_pow2_range, coeff_at)
-from .core import basic_tuple, make_system
+from .coeffs import (_flip, _row, binom_mod_pow2, binom_mod_pow2_range,
+                     coeff_at)
+from .core import make_system
 from .errors import CapExceededError, ParameterError
-from .limits import ENUM_NODE_CAP, ORBIT_VISIT_CAP
+from .limits import ENUM_NODE_CAP
 from .orbits import basic_len_per
 
 __all__ = [
@@ -170,14 +171,14 @@ _NEEDS_K1_L1 = ('skip', 'hypothesis: needs k >= 1 and l >= 1')
 
 # --- orbit-side checks -------------------------------------------------
 
-def verify_length_formula(k_range=range(1, 6), l_range=range(1, 7), *,
-                          max_states: int = ORBIT_VISIT_CAP) -> CheckReport:
+def verify_length_formula(k_range=range(1, 6),
+                          l_range=range(1, 7)) -> CheckReport:
   '''Basic pre-period and period of Z_{2^l}^{2^k}: ((l+1)*2^(k-1), 1).'''
   def case(k, l):
     if k < 1 or l < 1:
       return _NEEDS_K1_L1
     want = ((l + 1) * 2 ** (k - 1), 1)
-    got = basic_len_per(make_system(2 ** l, 2 ** k), max_states=max_states)
+    got = basic_len_per(make_system(2 ** l, 2 ** k))
     if got != want:
       return 'fail', {'expected': list(want), 'observed': list(got)}
     return 'pass', {'len': got[0], 'per': got[1]}
@@ -198,15 +199,21 @@ def verify_length_lower_bound(k_range=range(1, 6),
   return _kl_sweep('length_lower_bound', k_range, l_range, case)
 
 
+# verify_vanishing_bound decides every state of spaces up to this size.
+_EXHAUSTIVE_STATES = 1 << 16
+
+
 def verify_vanishing_bound(k_range=range(1, 6), l_range=range(1, 7), *,
-                           samples: int = 100, seed: int = 0,
-                           exhaustive_limit: int = 1 << 16) -> CheckReport:
+                           samples: int = 100, seed: int = 0) -> CheckReport:
   '''After l * 2^k steps every state of Z_{2^l}^{2^k} is zero.
 
-  Exhaustive, by a power of the successor array, when the space has at
-  most `exhaustive_limit` states; seeded samples stepped together
-  otherwise.  Also asserts the formula value never exceeds this bound.
-  Raises `ParameterError` when `samples` < 1.
+  "exhaustive" when the space has at most 2^16 states: every state,
+  decided by row l * 2^k.  D^r is multiplication by row r, so all
+  states vanish exactly when that row is zero; else D^r(0, ..., 0, 1)
+  is the row reversed, and code 1 is the first state left nonzero.
+  "sampled" otherwise: seeded samples stepped together.  Also asserts
+  the formula value never exceeds this bound.  Raises `ParameterError`
+  when `samples` < 1.
   '''
   if samples < 1:
     raise ParameterError(f'samples must be >= 1, got {samples}')
@@ -220,20 +227,18 @@ def verify_vanishing_bound(k_range=range(1, 6), l_range=range(1, 7), *,
     formula = (l + 1) * 2 ** (k - 1)
     if formula > bound:
       return 'fail', {'formula': formula, 'bound': bound}
-    if sys.state_count <= exhaustive_limit:
-      succ = _statespace.successor_array(sys.m, sys.n, exhaustive_limit)
-      bad = np.flatnonzero(_statespace.successor_power(succ, bound))[:1]
-      bad_states = _statespace.digits(bad, sys.m, sys.n)
+    if sys.state_count <= _EXHAUSTIVE_STATES:
+      bad = [[0] * (sys.n - 1) + [1]] if _row(sys, bound).any() else []
       observed = {'bound': bound, 'states': sys.state_count,
                   'mode': 'exhaustive'}
     else:
       draws = [rng.randrange(sys.m) for _ in range(samples * sys.n)]
       states = np.array(draws, dtype=np.int64).reshape(samples, sys.n)
       final = _statespace.batch_iter(states, sys.m, bound)
-      bad_states = states[final.any(axis=1)]
+      bad = states[final.any(axis=1)][:1].tolist()
       observed = {'bound': bound, 'samples': samples, 'mode': 'sampled'}
-    if len(bad_states):
-      return 'fail', {'state': bad_states[0].tolist(), 'bound': bound}
+    if bad:
+      return 'fail', {'state': bad[0], 'bound': bound}
     return 'pass', observed
   return _kl_sweep('vanishing_bound', k_range, l_range, case,
                    samples=samples, seed=seed)
@@ -386,7 +391,7 @@ def verify_coeff_pair_sum1(k_range=range(1, 7),
     sys = make_system(2 ** work_l, 2 ** k)
     half = 2 ** (k - 1)
     mod, row = 1 << l, l * half
-    cells = apply_coeff_expansion(sys, basic_tuple(sys), row)[::-1]
+    cells = _row(sys, row).tolist()
     for s in range(1, 2 ** k + 1):
       a, b = cells[s - 1], cells[s - 1 - half]
       if (a + b) % mod:

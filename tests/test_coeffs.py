@@ -95,15 +95,15 @@ class TestTable:
     # A table holds (r + 1) * n cells.  One row is built from products
     # of n by at most min(r + 1, n) coefficients, which pass the cap
     # only for n > 4096, whatever r is.
-    def refuses(call, cells):
+    def refuses(call, cells, what='row products'):
       with pytest.raises(CapExceededError) as info:
         call()
-      assert str(info.value) == (f'table of {cells} cells exceeds '
+      assert str(info.value) == (f'{what} of {cells} cells exceeds '
                                  f'the {COEFF_CELL_CAP}-cell cap')
       assert (info.value.required, info.value.cap) == (cells, COEFF_CELL_CAP)
 
     r = COEFF_CELL_CAP // 4
-    refuses(lambda: coeff_table(make_system(4, 4), r), (r + 1) * 4)
+    refuses(lambda: coeff_table(make_system(4, 4), r), (r + 1) * 4, 'table')
     wide, n = make_system(2, 4097), 4097
     refuses(lambda: coeff_at(wide, 4095, 1), 4096 * n)
     refuses(lambda: coeff_at(wide, 10 ** 18, 1), n * n)

@@ -4,6 +4,7 @@ The numpy passes in `_statespace` (pointer doubling for cycle states,
 cycle labels and periods, forward passes for pre-periods) are checked
 against orbit walks of every state, against the pure-Python peel and
 breadth-first search they replaced, and against a plain union-find;
+the vanishing certificate row against powers of the successor array;
 the export text is pinned byte for byte.
 '''
 
@@ -16,9 +17,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ducci import (_statespace, build_graph, component_of, kernel_set,
-                   len_per_map, make_system, orbit_summary, predecessors,
-                   to_dot, weak_components)
+from ducci import (_statespace, build_graph, coeffs, component_of,
+                   kernel_set, len_per_map, make_system, orbit_summary,
+                   predecessors, to_dot, weak_components)
 from ducci.cli import main
 from ducci.core import _step
 from ducci.verify import DEFAULT_SYSTEMS
@@ -109,6 +110,16 @@ def walk_tables(sys):
     rows.append((summary.len, summary.per,
                  _statespace.encode(min(summary.cycle), sys.m)))
   return [list(col) for col in zip(*rows)]
+
+
+def successor_power(succ, r):
+  '''succ applied r times to every state, by square-and-multiply.'''
+  acc = np.arange(len(succ))
+  while r:
+    if r & 1:
+      acc = succ[acc]
+    succ, r = succ[succ], r >> 1
+  return acc
 
 
 def _max_modulus(n, limit=4096):
@@ -225,9 +236,21 @@ def test_successor_power_matches_batch_iter(k, l):
   states = _statespace.digits(np.arange(m ** n), m, n)
   weights = m ** np.arange(n - 1, -1, -1)
   for r in range(l * 2 ** k + 1):
-    assert np.array_equal(_statespace.successor_power(succ, r),
-                          states @ weights), r
+    assert np.array_equal(successor_power(succ, r), states @ weights), r
     states = _statespace.batch_step(states, m)
+
+
+@pytest.mark.parametrize('m,n', DESK_SYSTEMS)
+def test_row_is_zero_exactly_when_the_power_is(m, n):
+  # The vanishing certificate: D^r is multiplication by row r, so it
+  # sends every state to 0 exactly when the row is zero.  Otherwise
+  # D^r(0, ..., 0, 1) is the row reversed: code 1 is the first state
+  # left nonzero, the witness verify_vanishing_bound reports.
+  sys, succ = make_system(m, n), _statespace.successor_array(m, n)
+  for r in range(3 * n * (m - 1).bit_length() + 3):
+    nonzero = np.flatnonzero(successor_power(succ, r))
+    assert coeffs._row(sys, r).any() == bool(nonzero.size), r
+    assert nonzero[:1].tolist() in ([], [1]), r
 
 
 # --- components against a union-find ---------------------------------------

@@ -402,10 +402,10 @@ def old_predecessor_witness(succ, m, n):
 
 
 def old_vanishing_cases(k_range, l_range, samples, seed, exhaustive_limit,
-                        step):
-  '''The former verify_vanishing_bound loop with `step` as the map on
-  tuples: walk every state, or draw samples and stop at the first
-  failing one.'''
+                        walk):
+  '''The former verify_vanishing_bound loop with `walk(u, m, bound)` as
+  the bound-th iterate of the map on tuples: walk every state, or draw
+  samples and stop at the first failing one.'''
   rng = random.Random(seed)
   cases = []
   for k in k_range:
@@ -416,17 +416,28 @@ def old_vanishing_cases(k_range, l_range, samples, seed, exhaustive_limit,
       else:
         candidates = (tuple(rng.randrange(m) for _ in range(n))
                       for _ in range(samples))
-      bad_state = None
-      for u in candidates:
-        cur = u
-        for _ in range(bound):
-          cur = step(cur, m)
-        if any(cur):
-          bad_state = u
-          break
+      bad_state = next((u for u in candidates if any(walk(u, m, bound))),
+                       None)
       cases.append(None if bad_state is None
                    else {'state': list(bad_state), 'bound': bound})
   return cases
+
+
+def iterate(step):
+  '''The walk that applies `step`, a map on tuples, r times.'''
+  def walk(u, m, r):
+    for _ in range(r):
+      u = step(u, m)
+    return u
+  return walk
+
+
+def row_map(row, u, m):
+  '''The linear map that coefficient row r defines, D^r on tuples:
+  coordinate i is sum_s a(r, s-i+1) * u_s mod m.'''
+  n = len(u)
+  return tuple(sum(int(row[(s - i) % n]) * u[s] for s in range(n)) % m
+               for i in range(n))
 
 
 class TestFailurePaths:
@@ -488,25 +499,27 @@ class TestFailurePaths:
     assert report.verdict == ('pass' if want is None else 'fail')
 
   @settings(max_examples=40, deadline=None)
-  @given(st.integers(0, 10 ** 6))
-  def test_exhaustive_vanishing_witness_matches_walks(self, pick):
-    # One nonzero state of each system is made a fixed point of the map.
-    broken = {}
-    for m, n in [(2, 2), (4, 2), (2, 4), (4, 4)]:
-      succ = _statespace.successor_array(m, n)
-      fixed = 1 + pick % (succ.size - 1)
-      succ[fixed] = fixed
-      broken[m, n] = succ
+  @given(st.lists(st.lists(st.integers(0, 3), min_size=4, max_size=4),
+                  min_size=4, max_size=4))
+  def test_exhaustive_vanishing_witness_matches_walks(self, draws):
+    # Each system's certificate row is replaced by a drawn one; the walk
+    # applies the linear map that row defines to every state.
+    systems = [(2, 2), (4, 2), (2, 4), (4, 4)]
+    rows = {(m, n): np.array(draw[:n]) % m
+            for (m, n), draw in zip(systems, draws)}
+    asked = []
 
-    def step(u, m):
-      code = broken[m, len(u)][_statespace.encode(u, m)]
-      return tuple(_statespace.digits(np.array([code]), m, len(u))[0].tolist())
+    def fake_row(sys, r):
+      asked.append((sys.m, sys.n, r))
+      return rows[sys.m, sys.n]
 
     with pytest.MonkeyPatch.context() as patch:
-      patch.setattr(_statespace, 'successor_array',
-                    lambda m, n, cap: broken[m, n])
+      patch.setattr(ducci.verify, '_row', fake_row)
       report = verify_vanishing_bound(range(1, 3), range(1, 3))
-    want = old_vanishing_cases(range(1, 3), range(1, 3), 100, 0, 1 << 16, step)
+    want = old_vanishing_cases(
+      range(1, 3), range(1, 3), 100, 0, 1 << 16,
+      lambda u, m, bound: row_map(rows[m, len(u)], u, m))
+    assert asked == [(m, n, (m.bit_length() - 1) * n) for m, n in systems]
     assert [c.witness for c in report.cases] == want
     assert all(c.observed is None or c.observed['mode'] == 'exhaustive'
                for c in report.cases)
@@ -527,11 +540,11 @@ class TestFailurePaths:
 
     with pytest.MonkeyPatch.context() as patch:
       patch.setattr(_statespace, 'batch_step', batch_step)
+      patch.setattr(ducci.verify, '_EXHAUSTIVE_STATES', 0)
       report = verify_vanishing_bound(range(1, 3), range(1, 4),
-                                      samples=samples, seed=seed,
-                                      exhaustive_limit=0)
+                                      samples=samples, seed=seed)
     want = old_vanishing_cases(range(1, 3), range(1, 4), samples, seed, 0,
-                               step)
+                               iterate(step))
     got = [c.witness for c in report.cases]
     # All samples of a case are drawn even after a failing one, so the
     # seeded stream agrees with the former loop up to the first fail.
@@ -569,13 +582,19 @@ class TestKernelCertificate:
 
   def test_check_never_enumerates(self, monkeypatch):
     def refuse(*args):
-      raise AssertionError('the kernel check enumerated a state space')
+      raise AssertionError('a certificate check enumerated a state space')
 
     monkeypatch.setattr(_statespace, 'kernel_codes', refuse)
     monkeypatch.setattr(_statespace, 'successor_array', refuse)
     report = verify_trivial_kernel()
     assert report.verdict == 'pass'
     assert all(c.verdict == 'pass' for c in report.cases)
+    # The vanishing bound reads the same row on its 13 spaces of at most
+    # 2^16 states and steps samples on the other 17.
+    report = verify_vanishing_bound()
+    assert [c.verdict for c in report.cases] == ['pass'] * 30
+    modes = [c.observed['mode'] for c in report.cases]
+    assert (modes.count('exhaustive'), modes.count('sampled')) == (13, 17)
 
   def test_rows_past_the_cell_cap_are_cap_skips(self):
     # A row of Z_{2^l}^{2^k} multiplies 2^k by 2^k cells: k = 12 fits.
@@ -583,5 +602,6 @@ class TestKernelCertificate:
       report = check(range(12, 14), range(1, 2))
       assert [c.verdict for c in report.cases] == ['pass', 'skip']
       assert report.cases[1].reason == (
-        f'cap: table of {2 ** 26} cells exceeds the {COEFF_CELL_CAP}-cell cap')
+        f'cap: row products of {2 ** 26} cells exceeds the '
+        f'{COEFF_CELL_CAP}-cell cap')
       assert exit_code([report]) == 3

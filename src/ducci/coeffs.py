@@ -73,6 +73,15 @@ def _times(sys: DucciSystem, a: np.ndarray, b: np.ndarray) -> np.ndarray:
   return head if sys.m == 1 << 64 else head % sys.m
 
 
+def _times_1x(sys: DucciSystem, v: np.ndarray, back=None) -> np.ndarray:
+  # (1 + x) * v: v plus v moved up one place (x^n = 1), one longer while
+  # v holds fewer than n.  Frequent callers pass back = arange(-1, n - 1).
+  if len(v) < sys.n:
+    v = np.concatenate((v, np.zeros(1, v.dtype)))
+  w = v + v[np.arange(-1, len(v) - 1) if back is None else back]
+  return w if sys.m == 1 << 64 else w % sys.m
+
+
 def _power(sys: DucciSystem, r: int, v: Sequence[int]) -> np.ndarray:
   # (1+x)^r * v in Z_m[x]/(x^n - 1) by square-and-multiply.  A product
   # cell sums at most n products of residues, so int64 is exact while
@@ -86,7 +95,7 @@ def _power(sys: DucciSystem, r: int, v: Sequence[int]) -> np.ndarray:
   for bit in f'{r:b}':
     out = _times(sys, out, out)
     if bit == '1':
-      out = _times(sys, out, np.ones(2, dtype))  # times 1 + x
+      out = _times_1x(sys, out)
   return _times(sys, out, np.array(v, dtype))
 
 

@@ -5,7 +5,7 @@ periodic.  `len` is the number of steps before the orbit first enters
 its cycle (the pre-period) and `per` is the cycle length, i.e. the
 smallest a, b with D^(a+b)(u) = D^a(u).  A state "vanishes" when its
 cycle is exactly {(0, ..., 0)}.  Whether len + per fits a cap is decided
-in O(sqrt(cap)) steps and memory, before any state is stored.
+on coefficient arrays, in O(sqrt(cap)) steps and memory, storing no state.
 
 Naming note: throughout this package L_m(n) is the pre-period of the
 basic tuple (0, ..., 0, 1) in Z_m^n and P_m(n) its period, with the
@@ -25,7 +25,7 @@ from typing import Sequence
 import numpy as np
 
 from . import _statespace
-from .coeffs import _check_cells, _flip, _power, _times
+from .coeffs import _check_cells, _flip, _power, _times, _times_1x
 from .core import DucciSystem, ResidueTuple, _step, basic_tuple, validate_tuple
 from .errors import CapExceededError, ParameterError
 from .limits import ENUM_NODE_CAP, ORBIT_VISIT_CAP
@@ -93,19 +93,12 @@ class KernelSet:
     return hash(self.members)
 
 
-def _walk(u: ResidueTuple, m: int, count: int) -> tuple[dict, ResidueTuple]:
-  # u, D(u), ... by index until a repeat or `count` states; the state after.
-  seen: dict[ResidueTuple, int] = {}
-  while u not in seen and len(seen) < count:
-    seen[u] = len(seen)
-    u = _step(u, m)
-  return seen, u
-
-
 def _len_per(sys: DucciSystem, u: ResidueTuple, cap: int) -> tuple[int, int]:
   '''(len, per) of the orbit of u if len + per <= cap, else refuse.
 
-  D^r is multiplication by (1+x)^r in Z_m[x]/(x^n - 1), u_(-j) at x^j.
+  D^r is multiplication by (1+x)^r in Z_m[x]/(x^n - 1), u_(-j) at x^j;
+  states stay such arrays, keyed by their bytes (by their cells when
+  those are Python ints), and only a refusal's message makes a tuple.
   Orbits of up to b = ceil(sqrt(cap)) states end in a walk.  Past that,
   y = D^cap(u) is on the cycle iff len <= cap.  Baby steps D^j(y), j < b,
   and giant steps (1+x)^(ib) y meet first p steps apart: p = per if y is
@@ -114,30 +107,38 @@ def _len_per(sys: DucciSystem, u: ResidueTuple, cap: int) -> tuple[int, int]:
   u and D^p(u) until they meet.
   '''
   b = math.isqrt(cap - 1) + 1 if cap > 0 else 0
-  seen, cur = _walk(u, sys.m, b)
-  if cur in seen:
-    return seen[cur], len(seen) - seen[cur]
+  v, back = _power(sys, 0, _flip(u)), np.arange(-1, sys.n - 1)
+  key = np.ndarray.tobytes if v.dtype != object else lambda w: tuple(w.tolist())
 
-  def state(w: np.ndarray) -> ResidueTuple:
-    return tuple(_flip(w.tolist()))
-  z = _power(sys, max(cap, 0), _flip(u))
-  y = state(z)
-  baby, cur = _walk(y, sys.m, b)
-  p = len(baby) - baby[cur] if cur in baby else None
+  def walk(w: np.ndarray) -> tuple[dict, object]:
+    # Keys of w, D(w), ... by index until a repeat or b keys; the next key.
+    seen: dict = {}
+    while (k := key(w)) not in seen and len(seen) < b:
+      seen[k] = len(seen)
+      w = _times_1x(sys, w, back)
+    return seen, k
+  seen, k = walk(v)
+  if k in seen:
+    return seen[k], len(seen) - seen[k]
+  z = y = _power(sys, max(cap, 0), v)
+  baby, k = walk(y)
+  p = len(baby) - baby[k] if k in baby else None
   if p is None:
     giant = _power(sys, b, [1])
     for i in range(1, b + 1):
       z = _times(sys, z, giant)
-      if state(z) in baby:
-        p = i * b - baby[state(z)]
+      if (k := key(z)) in baby:
+        p = i * b - baby[k]
         break
-  if p is None or p > cap or state(_power(sys, cap - p, _flip(u))) != y:
+  if p is None or p > cap or key(_power(sys, cap - p, v)) != key(y):
+    state = tuple(_flip(y.tolist()))
     raise CapExceededError(
-      f'orbit of {y[:8]}... in {sys} exceeds {cap} states',
+      f'orbit of {state[:8]}... in {sys} exceeds {cap} states',
       required=max(cap, 0) + 1, cap=cap)
-  ahead, length = state(_power(sys, p, _flip(u))), 0
-  while u != ahead:
-    u, ahead, length = _step(u, sys.m), _step(ahead, sys.m), length + 1
+  ahead, length = _power(sys, p, v), 0
+  while key(v) != key(ahead):
+    v, ahead = _times_1x(sys, v, back), _times_1x(sys, ahead, back)
+    length += 1
   return length, p
 
 

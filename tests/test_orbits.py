@@ -12,6 +12,7 @@ from ducci import (CapExceededError, ParameterError, _statespace,
                    basic_len_per, basic_tuple, ducci_iter, ducci_step,
                    kernel_set, len_per_map, make_system, orbit_len_per_lowmem,
                    orbit_summary, predecessors, vanishes)
+from ducci.coeffs import _power
 from ducci.core import _step
 from ducci.limits import COEFF_CELL_CAP
 from ducci.orbits import _len_per
@@ -274,6 +275,37 @@ class TestEngine:
     for cap in caps:
       if cap >= 0:
         check_engine(sys, u, cap, truth)
+
+  @pytest.mark.parametrize('m,n,u,dtype', [
+    (2 ** 63 - 1, 1, (2 ** 63 - 2,), object),
+    (10 ** 19 + 7, 3, (1, 10 ** 19 + 6, 0), object),
+    (2 ** 64, 3, (0, 0, 1), np.uint64)])
+  def test_big_moduli_at_caps_around_their_orbit(self, m, n, u, dtype):
+    # The bytes of an object array's cells are pointers to Python ints,
+    # so equal states would differ as bytes keys; uint64 cells are values.
+    sys = make_system(m, n)
+    assert _power(sys, 0, [1]).dtype == dtype
+    truth = dict_walk(sys, u, 5000)
+    for cap in (sum(truth) - 1, sum(truth), truth[0] - 1):
+      if cap >= 0:
+        check_engine(sys, u, cap, truth)
+
+  def test_decision_steps_no_tuples(self, monkeypatch):
+    # An orbit longer than ceil(sqrt(cap)) and a refusal are decided on
+    # coefficient arrays alone: stepping a tuple would raise.
+    cap = 1 << 13
+    fits, beyond = make_system(6, 30), make_system(7, 29)
+    truth = dict_walk(fits, basic_tuple(fits), cap)
+    assert truth == (3, 240) and sum(truth) > math.isqrt(cap - 1) + 1
+
+    def no_step(*args):
+      raise AssertionError('a state tuple was stepped')
+    monkeypatch.setattr('ducci.orbits._step', no_step)
+    assert orbit_len_per_lowmem(fits, basic_tuple(fits),
+                                max_steps=cap) == truth
+    with pytest.raises(CapExceededError) as info:
+      orbit_len_per_lowmem(beyond, basic_tuple(beyond), max_steps=cap)
+    assert (info.value.required, info.value.cap) == (cap + 1, cap)
 
   def test_off_cycle_repeat_is_not_the_period(self):
     # The basic orbit of Z_{2^70}^3 has len 70 and per 6.  At a cap

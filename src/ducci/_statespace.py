@@ -36,6 +36,11 @@ def digits(codes: np.ndarray, m: int, n: int) -> np.ndarray:
   return codes[:, None] // m ** np.arange(n - 1, -1, -1, dtype=np.int64) % m
 
 
+def encode_rows(rows: np.ndarray, m: int) -> np.ndarray:
+  '''Codes of the digit rows along the last axis; inverts `digits`.'''
+  return rows @ m ** np.arange(rows.shape[-1] - 1, -1, -1, dtype=np.int64)
+
+
 def texts(codes: np.ndarray, m: int, n: int, open_: str,
           close: str) -> list[str]:
   '''Text of the states with the given codes, open_ + "d_1,...,d_n" +
@@ -100,19 +105,18 @@ def closure_generators(codes: np.ndarray, rows: np.ndarray, m: int,
   g + v outside K: the first such pair over all members, as K + u is in
   K for each u in the span, which holds every member before g.'''
   n = rows.shape[1]
-  weights = m ** np.arange(n - 1, -1, -1, dtype=np.int64)
   member, span = np.zeros(m ** n, dtype=bool), np.zeros(m ** n, dtype=bool)
   member[codes] = span[0] = True
   span_rows, gens = np.zeros((1, n), dtype=np.int64), []
   while (outside := np.flatnonzero(~span[codes])).size:
     g = rows[outside[0]]
-    inside = member[((rows + g) % m) @ weights]
+    inside = member[encode_rows((rows + g) % m, m)]
     if not inside.all():
       return gens, (int(outside[0]), int(np.argmax(~inside)))
     multiples = np.arange(m + 1)[:, None] * g % m
-    order = int(np.argmax(span[multiples[1:] @ weights])) + 1
+    order = int(np.argmax(span[encode_rows(multiples[1:], m)])) + 1
     span_rows = ((span_rows + multiples[:order, None]) % m).reshape(-1, n)
-    span[span_rows @ weights] = True
+    span[encode_rows(span_rows, m)] = True
     gens.append(int(codes[outside[0]]))
   return gens, None
 

@@ -98,7 +98,7 @@ def _len_per(sys: DucciSystem, u: ResidueTuple, cap: int) -> tuple[int, int]:
 
   D^r is multiplication by (1+x)^r in Z_m[x]/(x^n - 1), u_(-j) at x^j;
   states stay such arrays, keyed by their bytes (by their cells when
-  those are Python ints), and only a refusal's message makes a tuple.
+  those are Python ints), and a refusal's message names u itself.
   Orbits of up to b = ceil(sqrt(cap)) states end in a walk.  Past that,
   y = D^cap(u) is on the cycle iff len <= cap.  Baby steps D^j(y), j < b,
   and giant steps (1+x)^(ib) y meet first p steps apart: p = per if y is
@@ -131,9 +131,8 @@ def _len_per(sys: DucciSystem, u: ResidueTuple, cap: int) -> tuple[int, int]:
         p = i * b - baby[k]
         break
   if p is None or p > cap or key(_power(sys, cap - p, v)) != key(y):
-    state = tuple(_flip(y.tolist()))
     raise CapExceededError(
-      f'orbit of {state[:8]}... in {sys} exceeds {cap} states',
+      f'orbit of {u[:8]}... in {sys} exceeds {cap} states',
       required=max(cap, 0) + 1, cap=cap)
   ahead, length = _power(sys, p, v), 0
   while key(v) != key(ahead):

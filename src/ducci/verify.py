@@ -39,15 +39,15 @@ reaches the checks through `_CHECKS`, one row per CLI name with that
 check's default ranges.  Adding a check means one case function and
 one row.
 
-The trivial kernel and, on spaces of at most 2^16 states, the
-vanishing bound are proved by one coefficient row, row l * 2^k, and
-never enumerated: the kernel is {0}, and every state vanishes, exactly
-when that row is zero.  Larger spaces of the vanishing bound step
-seeded samples.  State-space checks are numpy passes on integer state
-codes: closure against a greedy generating set of the kernel,
+The length formula and its lower bound read coefficient rows
+L - 1 and L of L = (l+1) * 2^(k-1).  The trivial kernel and, on spaces
+of at most 2^16 states, the vanishing bound are proved by row l * 2^k
+and never enumerated: the kernel is {0}, and every state vanishes,
+exactly when that row is zero.  Larger spaces of the vanishing bound
+step seeded samples.  State-space checks are numpy passes on integer
+state codes: closure against a greedy generating set of the kernel,
 predecessor families by a stable sort of the successor array.
-Congruence cases read coefficient rows computed at the largest
-requested modulus 2^max(l) and assert residues mod their own 2^l.
+Congruence cases read one row each at their own modulus 2^l.
 '''
 
 from __future__ import annotations
@@ -61,8 +61,8 @@ from types import SimpleNamespace
 import numpy as np
 
 from . import _statespace
-from .coeffs import (_flip, _row, binom_mod_pow2, binom_mod_pow2_range,
-                     coeff_at)
+from .coeffs import (_flip, _row, _times_1x, binom_mod_pow2,
+                     binom_mod_pow2_range)
 from .core import make_system
 from .errors import CapExceededError, ParameterError
 from .limits import ENUM_NODE_CAP
@@ -173,15 +173,19 @@ _NEEDS_K1_L1 = ('skip', 'hypothesis: needs k >= 1 and l >= 1')
 
 def verify_length_formula(k_range=range(1, 6),
                           l_range=range(1, 7)) -> CheckReport:
-  '''Basic pre-period and period of Z_{2^l}^{2^k}: ((l+1)*2^(k-1), 1).'''
+  '''Basic pre-period and period of Z_{2^l}^{2^k}: ((l+1)*2^(k-1), 1).
+  The basic iterate D^r(0, ..., 0, 1) is row r reversed and 0 is fixed:
+  both hold iff row L - 1 is nonzero and row L, (1+x) times it, zero.'''
   def case(k, l):
     if k < 1 or l < 1:
       return _NEEDS_K1_L1
-    want = ((l + 1) * 2 ** (k - 1), 1)
-    got = basic_len_per(make_system(2 ** l, 2 ** k))
-    if got != want:
-      return 'fail', {'expected': list(want), 'observed': list(got)}
-    return 'pass', {'len': got[0], 'per': got[1]}
+    sys, steps = make_system(2 ** l, 2 ** k), (l + 1) * 2 ** (k - 1)
+    before = _row(sys, steps - 1)
+    if not before.any():
+      return 'fail', {'steps': steps - 1, 'iterate': 'zero'}
+    if _times_1x(sys, before).any():
+      return 'fail', {'steps': steps, 'iterate': 'nonzero'}
+    return 'pass', {'len': steps, 'per': 1}
   return _kl_sweep('length_formula', k_range, l_range, case)
 
 
@@ -289,7 +293,6 @@ def verify_cycle_subgroup(m: int, n: int, *,
     sys = make_system(m, n)
     codes = _statespace.kernel_codes(m, n, max_states)
     mat = _statespace.digits(codes, m, n)
-    weights = np.array([m ** (n - 1 - i) for i in range(n)], dtype=np.int64)
     mask = np.zeros(sys.state_count, dtype=bool)
     mask[codes] = True
     if codes[0] != 0:
@@ -299,8 +302,9 @@ def verify_cycle_subgroup(m: int, n: int, *,
       u, v = mat[list(escape)].tolist()
       return 'fail', {'violation': 'sum_escapes', 'u': u, 'v': v}
     rotated = np.roll(mat, -1, axis=1)
-    image = ((mat + rotated) % m) @ weights
-    for kind, targets in (('rotation_escapes', rotated @ weights),
+    image = _statespace.encode_rows((mat + rotated) % m, m)
+    for kind, targets in (('rotation_escapes',
+                           _statespace.encode_rows(rotated, m)),
                           ('image_escapes', image)):
       inside = mask[targets]
       if not inside.all():
@@ -333,8 +337,8 @@ def verify_predecessor_count(m: int, n: int, *,
     preds = np.argsort(succ, kind='stable').reshape(-1, m)
     base = _statespace.digits(preds[:, 0], m, n)
     alt = np.where(np.arange(n) % 2 == 0, 1, m - 1)
-    weights = m ** np.arange(n - 1, -1, -1, dtype=np.int64)
-    family = np.sort([((base + z * alt) % m) @ weights for z in range(m)], 0)
+    family = np.sort([_statespace.encode_rows((base + z * alt) % m, m)
+                      for z in range(m)], 0)
     bad = np.flatnonzero((family != preds.T).any(axis=0))
     if bad.size:
       state = _statespace.digits(succ[preds[bad[:1], 0]], m, n)[0].tolist()
@@ -383,19 +387,17 @@ def verify_binomial_congruences(j_range=range(2, 17)) -> CheckReport:
 def verify_coeff_pair_sum1(k_range=range(1, 7),
                            l_range=range(1, 7)) -> CheckReport:
   '''Columns half a turn apart sum to 0 mod 2^l on row l * 2^(k-1).'''
-  work_l = max(l_range, default=1)
-
   def case(k, l=None):
     if k < 1:
       return 'skip', 'hypothesis: k must be >= 1'
-    sys = make_system(2 ** work_l, 2 ** k)
     half = 2 ** (k - 1)
     mod, row = 1 << l, l * half
-    cells = _row(sys, row).tolist()
+    # Every sum is 0 mod 1, so l = 0 reads its row mod 2.
+    cells = _row(make_system(max(mod, 2), 2 ** k), row).tolist()
     for s in range(1, 2 ** k + 1):
       a, b = cells[s - 1], cells[s - 1 - half]
       if (a + b) % mod:
-        return 'fail', {'row': row, 's': s, 'cells': [a % mod, b % mod]}
+        return 'fail', {'row': row, 's': s, 'cells': [a, b]}
     return 'pass', {'row': row}
   # A k outside the hypothesis is one case for every l.
   grid = [params for k in k_range
@@ -408,21 +410,18 @@ def verify_coeff_pair_sum1(k_range=range(1, 7),
 def verify_coeff_pair_sum2(k_range=range(2, 7),
                            l_range=range(3, 7)) -> CheckReport:
   '''Two chosen cells of row (l-1) * 2^(k-1) sum to 0 mod 2^l;
-  hypotheses l >= 3 and k >= 2.'''
-  work_l = max(l_range, default=1)
-
+  hypotheses l >= 3 and k >= 2; columns are cyclic.'''
   def case(k, l):
     if l < 3 or k < 2:
       return 'skip', 'hypothesis: needs l >= 3 and k >= 2'
-    sys = make_system(2 ** work_l, 2 ** k)
-    mod = 1 << l
+    n, mod = 2 ** k, 1 << l
     row = (l - 1) * 2 ** (k - 1)
     s1 = l * 2 ** (k - 2) + 1
     s2 = l * 2 ** (k - 2) - 2 ** (k - 1) + 1
-    a, b = coeff_at(sys, row, s1), coeff_at(sys, row, s2)
+    cells = _row(make_system(mod, n), row).tolist()
+    a, b = cells[(s1 - 1) % n], cells[(s2 - 1) % n]
     if (a + b) % mod:
-      return 'fail', {'row': row, 'columns': [s1, s2],
-                      'cells': [a % mod, b % mod]}
+      return 'fail', {'row': row, 'columns': [s1, s2], 'cells': [a, b]}
     return 'pass', {'row': row, 'columns': [s1, s2]}
   return _kl_sweep('coeff_pair_sum2', k_range, l_range, case)
 
@@ -430,16 +429,13 @@ def verify_coeff_pair_sum2(k_range=range(2, 7),
 def verify_half_modulus_pivot(k_range=range(2, 7),
                               l_range=range(2, 7)) -> CheckReport:
   '''a(l * 2^(k-1), l * 2^(k-2) + 1) is exactly 2^(l-1) mod 2^l;
-  hypotheses l >= 2 and k >= 2.'''
-  work_l = max(l_range, default=1)
-
+  hypotheses l >= 2 and k >= 2; the column is cyclic.'''
   def case(k, l):
     if l < 2 or k < 2:
       return 'skip', 'hypothesis: needs l >= 2 and k >= 2'
-    sys = make_system(2 ** work_l, 2 ** k)
-    row = l * 2 ** (k - 1)
-    col = l * 2 ** (k - 2) + 1
-    value = coeff_at(sys, row, col) % (1 << l)
+    sys = make_system(1 << l, 2 ** k)
+    row, col = l * 2 ** (k - 1), l * 2 ** (k - 2) + 1
+    value = int(_row(sys, row)[(col - 1) % sys.n])
     if value != 1 << (l - 1):
       return 'fail', {'row': row, 'col': col, 'value': value,
                       'expected': 1 << (l - 1)}

@@ -133,7 +133,8 @@ class TestOrbit:
     ' --vanishes',
   ])
   def test_refusal_message_is_pinned(self, capsys, argv):
-    err = ('error: orbit of (1, 2, 5, 6, 1, 2, 1, 1)... in Z_7^31 exceeds '
+    # The message names the queried state, the basic tuple here.
+    err = ('error: orbit of (0, 0, 0, 0, 0, 0, 0, 0)... in Z_7^31 exceeds '
            '1000 states\n')
     assert run_cli(capsys, *argv.split()) == (3, '', err)
 
@@ -413,6 +414,18 @@ class TestVerify:
     assert len(set(without_elapsed)) == len(rows)
     assert any(row.split()[:3] == ['cycle_subgroup', 'm=3', 'n=8']
                for row in rows)
+
+  def test_modulus_one_sweep_exits_zero(self, capsys):
+    # At l = 0 every column sum of sum1 is 0 mod 1; the other checks'
+    # l = 0 cases are hypothesis skips.
+    code, out, _ = run_cli(capsys, 'verify', 'all', '--l-min', '0',
+                           '--l-max', '0')
+    assert code == 0
+    reports = {obj['check_id']: obj for obj in map(json.loads,
+                                                    out.splitlines())}
+    assert reports['coeff_pair_sum1']['cases'] == [
+      {'params': {'k': k, 'l': 0}, 'verdict': 'pass', 'observed': {'row': 0}}
+      for k in range(1, 7)]
 
   def test_unknown_check_rejected(self, capsys):
     code, _, err = run_cli(capsys, 'verify', 'bogus')

@@ -14,6 +14,7 @@ from ducci import (_statespace, coeffs, exit_code, make_system,
                    reports_to_jsonl, run_checks, summary_table)
 from ducci.errors import CapExceededError, ParameterError
 from ducci.limits import COEFF_CELL_CAP
+from ducci.orbits import basic_len_per
 from ducci.verify import (CHECK_NAMES, DEFAULT_SYSTEMS, CaseResult,
                           CheckReport, verify_binary_length_formula,
                           verify_binomial_congruences, verify_coeff_pair_sum1,
@@ -598,10 +599,66 @@ class TestKernelCertificate:
 
   def test_rows_past_the_cell_cap_are_cap_skips(self):
     # A row of Z_{2^l}^{2^k} multiplies 2^k by 2^k cells: k = 12 fits.
-    for check in (verify_trivial_kernel, verify_length_lower_bound):
+    for check in (verify_trivial_kernel, verify_length_lower_bound,
+                  verify_length_formula):
       report = check(range(12, 14), range(1, 2))
       assert [c.verdict for c in report.cases] == ['pass', 'skip']
       assert report.cases[1].reason == (
         f'cap: row products of {2 ** 26} cells exceeds the '
         f'{COEFF_CELL_CAP}-cell cap')
       assert exit_code([report]) == 3
+
+
+# --- the length formula from rows L - 1 and L ------------------------------
+#
+# The basic iterate D^r(0, ..., 0, 1) is row r reversed and 0 is a fixed
+# point, so len = L and per = 1 exactly when row L - 1 is nonzero and row L
+# is zero; the basic orbit's walk is the oracle.
+
+class TestLengthFormulaRows:
+  def test_matches_orbit_walks(self):
+    report = verify_length_formula(range(1, 8), range(1, 9))
+    assert len(report.cases) == 56
+    for case in report.cases:
+      k, l = case.params['k'], case.params['l']
+      length, per = basic_len_per(make_system(2 ** l, 2 ** k))
+      assert case.observed == {'len': length, 'per': per}, (k, l)
+
+  def test_never_walks_the_orbit(self, monkeypatch):
+    def refuse(*args, **kwargs):
+      raise AssertionError('the length formula walked the basic orbit')
+
+    monkeypatch.setattr(ducci.verify, 'basic_len_per', refuse)
+    report = verify_length_formula()
+    assert [c.verdict for c in report.cases] == ['pass'] * 30
+
+  def test_zero_row_before_the_formula_fails(self, monkeypatch):
+    monkeypatch.setattr(ducci.verify, '_row',
+                        lambda sys, r: np.zeros(sys.n, np.int64))
+    report = verify_length_formula(range(2, 3), range(2, 3))
+    assert report.counterexample == {'k': 2, 'l': 2, 'steps': 5,
+                                     'iterate': 'zero'}
+
+  def test_nonzero_row_at_the_formula_fails(self, monkeypatch):
+    # Rows one step early: row L - 2 is nonzero, and so is (1+x) times it.
+    monkeypatch.setattr(ducci.verify, '_row',
+                        lambda sys, r: coeffs._row(sys, r - 1))
+    report = verify_length_formula(range(2, 3), range(2, 3))
+    assert report.counterexample == {'k': 2, 'l': 2, 'steps': 6,
+                                     'iterate': 'nonzero'}
+
+
+def test_congruence_checks_read_one_row_at_their_own_modulus(monkeypatch):
+  asked = []
+
+  def row(sys, r):
+    asked.append((sys.m, sys.n, r))
+    return coeffs._row(sys, r)
+
+  monkeypatch.setattr(ducci.verify, '_row', row)
+  assert verify_coeff_pair_sum1(range(2, 3), range(0, 3)).verdict == 'pass'
+  assert verify_coeff_pair_sum2(range(2, 3), range(3, 5)).verdict == 'pass'
+  assert verify_half_modulus_pivot(range(2, 3), range(2, 4)).verdict == 'pass'
+  assert asked == [(2, 4, 0), (2, 4, 2), (4, 4, 4),    # sum1, l = 0..2
+                   (8, 4, 4), (16, 4, 6),              # sum2, l = 3..4
+                   (4, 4, 4), (8, 4, 6)]               # pivot, l = 2..3

@@ -63,14 +63,27 @@ def _check_row(sys: DucciSystem, r: int, name: str = 'row index') -> None:
   _check_cells(min(r + 1, sys.n) * sys.n, 'row products')
 
 
+def _dtype(sys: DucciSystem) -> type:
+  # A product cell sums at most n products of residues, so int64 is
+  # exact while n * (m-1)^2 < 2^63.  Past that, uint64 arithmetic wraps
+  # mod 2^64, which is exact mod any m dividing 2^64; other moduli use
+  # Python ints.
+  if sys.n * (sys.m - 1) ** 2 < 1 << 63:
+    return np.int64
+  return np.uint64 if (1 << 64) % sys.m == 0 else object
+
+
+def _mod(sys: DucciSystem, w: np.ndarray) -> np.ndarray:
+  # In uint64 nothing is left to reduce when m is 2^64 itself.
+  return w if sys.m == 1 << 64 else w % sys.m
+
+
 def _times(sys: DucciSystem, a: np.ndarray, b: np.ndarray) -> np.ndarray:
   # a * b in Z_m[x]/(x^n - 1); a and b hold at most n coefficients each.
   full = np.convolve(a, b)
   head, tail = full[:sys.n], full[sys.n:]
   head[:len(tail)] += tail  # x^n = 1
-  # Past the int64 bound a modulus dividing 2^64 runs in uint64, which
-  # wraps mod 2^64: nothing is left to reduce when m is 2^64 itself.
-  return head if sys.m == 1 << 64 else head % sys.m
+  return _mod(sys, head)
 
 
 def _times_1x(sys: DucciSystem, v: np.ndarray, back=None) -> np.ndarray:
@@ -78,19 +91,12 @@ def _times_1x(sys: DucciSystem, v: np.ndarray, back=None) -> np.ndarray:
   # v holds fewer than n.  Frequent callers pass back = arange(-1, n - 1).
   if len(v) < sys.n:
     v = np.concatenate((v, np.zeros(1, v.dtype)))
-  w = v + v[np.arange(-1, len(v) - 1) if back is None else back]
-  return w if sys.m == 1 << 64 else w % sys.m
+  return _mod(sys, v + v[np.arange(-1, len(v) - 1) if back is None else back])
 
 
 def _power(sys: DucciSystem, r: int, v: Sequence[int]) -> np.ndarray:
-  # (1+x)^r * v in Z_m[x]/(x^n - 1) by square-and-multiply.  A product
-  # cell sums at most n products of residues, so int64 is exact while
-  # n * (m-1)^2 < 2^63.  Past that, uint64 arithmetic wraps mod 2^64,
-  # which is exact mod any m dividing 2^64; other moduli use Python ints.
-  if sys.n * (sys.m - 1) ** 2 < 1 << 63:
-    dtype = np.int64
-  else:
-    dtype = np.uint64 if (1 << 64) % sys.m == 0 else object
+  # (1+x)^r * v in Z_m[x]/(x^n - 1) by square-and-multiply.
+  dtype = _dtype(sys)
   out = np.ones(1, dtype)
   for bit in f'{r:b}':
     out = _times(sys, out, out)

@@ -13,6 +13,7 @@ States are plain `tuple[int, ...]` with entries already reduced into
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
@@ -90,8 +91,10 @@ def reduce_tuple(sys: DucciSystem, entries: Iterable[int]) -> ResidueTuple:
 
 
 def _step(u: ResidueTuple, m: int) -> ResidueTuple:
-  # Unchecked single step, shared by the orbit and sweep internals.
-  return tuple((a + b) % m for a, b in zip(u, u[1:] + u[:1]))
+  # Unchecked single step.  Entries are residues, so a pair sums to
+  # less than 2m and one conditional subtract reduces it.
+  return tuple([s - m if s >= m else s
+                for s in map(operator.add, u, u[1:] + u[:1])])
 
 
 def ducci_step(sys: DucciSystem, u: Sequence[int]) -> ResidueTuple:

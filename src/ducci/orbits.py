@@ -25,8 +25,9 @@ from typing import Sequence
 import numpy as np
 
 from . import _statespace
-from .coeffs import _check_cells, _flip, _power, _times, _times_1x
-from .core import DucciSystem, ResidueTuple, _step, basic_tuple, validate_tuple
+from .coeffs import (_check_cells, _dtype, _flip, _mod, _power, _times,
+                     _times_1x)
+from .core import DucciSystem, ResidueTuple, basic_tuple, validate_tuple
 from .errors import CapExceededError, ParameterError
 from .limits import ENUM_NODE_CAP, ORBIT_VISIT_CAP
 
@@ -93,52 +94,92 @@ class KernelSet:
     return hash(self.members)
 
 
-def _len_per(sys: DucciSystem, u: ResidueTuple, cap: int) -> tuple[int, int]:
+# States the opening walk takes before the search.  Orbits this short
+# end in it; every longer orbit and every refusal pays for it on top of
+# the search.  On the point_queries benchmark's orbit queries 16 to 32
+# timed alike and 8, 12 and 48 slower; refusals set the latency tail,
+# so the shortest of those.
+_OPENING = 16
+
+
+def _len_per(sys: DucciSystem, u: ResidueTuple, cap: int,
+             walked: list | None = None) -> tuple[int, int]:
   '''(len, per) of the orbit of u if len + per <= cap, else refuse.
 
   D^r is multiplication by (1+x)^r in Z_m[x]/(x^n - 1), u_(-j) at x^j;
   states stay such arrays, keyed by their bytes (by their cells when
   those are Python ints), and a refusal's message names u itself.
-  Orbits of up to b = ceil(sqrt(cap)) states end in a walk.  Past that,
-  y = D^cap(u) is on the cycle iff len <= cap.  Baby steps D^j(y), j < b,
-  and giant steps (1+x)^(ib) y meet first p steps apart: p = per if y is
-  on the cycle, else a multiple of it.  So len + per <= cap iff p <= cap
-  and D^(cap-p)(u) == y, and then len is the count of lockstep steps of
-  u and D^p(u) until they meet.
+  Orbits of up to _OPENING states end in a walk, whose arrays are left
+  in `walked` when given.  Past that, y = D^cap(u) is on the cycle iff
+  len <= cap.  With b = ceil(sqrt(cap)), baby steps D^j(y), j < b, and
+  giant steps (1+x)^(ib) y meet first p steps apart: p = per if y is
+  on the cycle, else a multiple of it.  Either way u and D^p(u) meet
+  after len lockstep steps, so len + per <= cap iff len + p <= cap.
+  Past b lockstep steps, D^(cap-p)(u) == y decides at once whether
+  len <= cap - p, so a refusal stays within O(sqrt(cap)) steps.
   '''
   b = math.isqrt(cap - 1) + 1 if cap > 0 else 0
-  v, back = _power(sys, 0, _flip(u)), np.arange(-1, sys.n - 1)
+  v, back = np.array(_flip(u), _dtype(sys)), np.arange(-1, sys.n - 1)
   key = np.ndarray.tobytes if v.dtype != object else lambda w: tuple(w.tolist())
 
-  def walk(w: np.ndarray) -> tuple[dict, object]:
-    # Keys of w, D(w), ... by index until a repeat or b keys; the next key.
+  def walk(w: np.ndarray, limit: int, rows: list) -> tuple[dict, object]:
+    # Keys of w, D(w), ... by index until a repeat or `limit` keys, the
+    # arrays appended to rows; the next key.
     seen: dict = {}
-    while (k := key(w)) not in seen and len(seen) < b:
+    while (k := key(w)) not in seen and len(seen) < limit:
       seen[k] = len(seen)
+      rows.append(w)
       w = _times_1x(sys, w, back)
     return seen, k
-  seen, k = walk(v)
+  seen, k = walk(v, min(_OPENING, cap), [] if walked is None else walked)
   if k in seen:
     return seen[k], len(seen) - seen[k]
   z = y = _power(sys, max(cap, 0), v)
-  baby, k = walk(y)
+  baby, k = walk(y, b, [])
   p = len(baby) - baby[k] if k in baby else None
   if p is None:
     giant = _power(sys, b, [1])
+    if sys.n <= b:
+      # (1+x)^b has all n coefficients; a giant step is one product with
+      # their circulant, no more cells than the b baby keys hold.  Past
+      # that, convolving with its b + 1 coefficients is cheaper.
+      cols = np.arange(sys.n)
+      giant = giant[(cols[:, None] - cols) % sys.n]
     for i in range(1, b + 1):
-      z = _times(sys, z, giant)
+      z = _mod(sys, giant.dot(z)) if giant.ndim == 2 else _times(sys, z, giant)
       if (k := key(z)) in baby:
         p = i * b - baby[k]
         break
-  if p is None or p > cap or key(_power(sys, cap - p, v)) != key(y):
-    raise CapExceededError(
-      f'orbit of {u[:8]}... in {sys} exceeds {cap} states',
-      required=max(cap, 0) + 1, cap=cap)
-  ahead, length = _power(sys, p, v), 0
-  while key(v) != key(ahead):
-    v, ahead = _times_1x(sys, v, back), _times_1x(sys, ahead, back)
+  refused = CapExceededError(
+    f'orbit of {u[:8]}... in {sys} exceeds {cap} states',
+    required=max(cap, 0) + 1, cap=cap)
+  if p is None or p > cap:
+    raise refused
+  ahead, length, w = _power(sys, p, v), 0, v
+  while key(w) != key(ahead):
+    if length == b and key(_power(sys, cap - p, v)) != key(y):
+      raise refused
+    w, ahead = _times_1x(sys, w, back), _times_1x(sys, ahead, back)
     length += 1
+  if length + p > cap:
+    raise refused
   return length, p
+
+
+def _orbit_rows(sys: DucciSystem, v: np.ndarray, count: int) -> np.ndarray:
+  # D^0..D^(count-1) of v as rows, on a grid of B = ceil(sqrt(count))
+  # columns: each checkpoint D^(iB) is one convolution past the one
+  # before, and B - 1 shifted adds step every checkpoint at once.
+  width = math.isqrt(count - 1) + 1
+  jump = _power(sys, width, [1])
+  grid = np.empty((-(-count // width), width, sys.n), v.dtype)
+  grid[0, 0] = v
+  for i in range(1, len(grid)):
+    grid[i, 0] = _times(sys, grid[i - 1, 0], jump)
+  back = np.arange(-1, sys.n - 1)
+  for j in range(1, width):
+    grid[:, j] = _mod(sys, grid[:, j - 1] + grid[:, j - 1, back])
+  return grid.reshape(-1, sys.n)[:count]
 
 
 def orbit_summary(sys: DucciSystem, u: Sequence[int], *,
@@ -150,12 +191,15 @@ def orbit_summary(sys: DucciSystem, u: Sequence[int], *,
   max_states + 1) or past `COEFF_CELL_CAP` cells (`required` is
   (len + per) * n).  For longer orbits use `orbit_len_per_lowmem`.
   '''
-  cur = validate_tuple(sys, u)
-  length, per = _len_per(sys, cur, max_states)
-  _check_cells((length + per) * sys.n, f'orbit in {sys}')
-  states = [cur]
-  for _ in range(length + per - 1):
-    states.append(_step(states[-1], sys.m))
+  cur, walked = validate_tuple(sys, u), []
+  length, per = _len_per(sys, cur, max_states, walked)
+  count = length + per
+  _check_cells(count * sys.n, f'orbit in {sys}')
+  if count <= len(walked):
+    rows = np.stack(walked[:count])
+  else:
+    rows = _orbit_rows(sys, walked[0], count)
+  states = list(map(tuple, rows[:, -np.arange(sys.n)].tolist()))
   return OrbitSummary(
     len=length,
     per=per,

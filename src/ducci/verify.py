@@ -390,6 +390,8 @@ def verify_coeff_pair_sum1(k_range=range(1, 7),
   def case(k, l=None):
     if k < 1:
       return 'skip', 'hypothesis: k must be >= 1'
+    if l < 0:
+      return 'skip', 'hypothesis: l must be >= 0'
     half = 2 ** (k - 1)
     mod, row = 1 << l, l * half
     # Every sum is 0 mod 1, so l = 0 reads its row mod 2.

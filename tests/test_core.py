@@ -9,6 +9,7 @@ from hypothesis import given, strategies as st
 from ducci import (ParameterError, add, basic_tuple, ducci_iter, ducci_step,
                    format_tuple, make_system, parse_tuple, reduce_tuple,
                    scale, shift, validate_tuple)
+from ducci.core import _step
 
 
 def systems(max_m=9, max_n=8):
@@ -62,6 +63,17 @@ class TestStep:
     assert ducci_step(sys, (0, 1)) == (1, 1)
     assert ducci_step(sys, (1, 1)) == (0, 0)
     assert ducci_step(sys, (0, 0)) == (0, 0)
+
+  @given(st.data())
+  def test_unchecked_step_matches_pair_sums_mod_m(self, data):
+    # _step reduces a pair sum by one conditional subtract, not % m.
+    m = data.draw(st.one_of(
+      st.integers(2, 40), st.sampled_from((2, 2 ** 63 - 1, 10 ** 19 + 7,
+                                           2 ** 70))))
+    u = tuple(data.draw(st.lists(st.integers(0, m - 1), min_size=1,
+                                 max_size=12)))
+    assert _step(u, m) == tuple(
+      (a + b) % m for a, b in zip(u, u[1:] + u[:1]))
 
   def test_iter_zero_is_identity(self):
     sys = make_system(5, 4)

@@ -8,14 +8,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import ducci.orbits
 from ducci import (CapExceededError, ParameterError, _statespace,
                    basic_len_per, basic_tuple, ducci_iter, ducci_step,
                    kernel_set, len_per_map, make_system, orbit_len_per_lowmem,
                    orbit_summary, predecessors, vanishes)
-from ducci.coeffs import _power
+from ducci.coeffs import _dtype, _power
 from ducci.core import _step
-from ducci.limits import COEFF_CELL_CAP
-from ducci.orbits import _len_per
+from ducci.limits import COEFF_CELL_CAP, ORBIT_VISIT_CAP
+from ducci.orbits import _OPENING, _len_per
 from ducci.verify import DEFAULT_SYSTEMS
 
 SMALL_SYSTEMS = [(2, 2), (2, 3), (2, 6), (3, 2), (3, 3), (4, 2), (4, 3),
@@ -72,7 +73,52 @@ def check_engine(sys, u, cap, truth):
   assert (info.value.required, info.value.cap) == (cap + 1, cap)
 
 
+def assert_replays(sys, u, summary, truth):
+  '''summary holds truth's (len, per) and the states of u's orbit.'''
+  assert (summary.len, summary.per) == truth
+  cur = u
+  for state in summary.tail + summary.cycle:
+    assert state == cur and all(type(e) is int for e in state)
+    cur = ducci_step(sys, cur)
+  assert cur == summary.cycle[0]
+
+
+# Orbits of K = len + per states at the edges of the opening walk (16
+# states, or cap when smaller) and of orbit_summary's grid of
+# B = ceil(sqrt(K)) columns by C = ceil(K / B) checkpoints.
+SUMMARY_EDGES = [
+  (2, 1, (0,), 1),
+  (2, 5, (0, 0, 0, 1, 1), 15),
+  (2, 5, (0, 0, 0, 0, 1), 16),                  # the whole opening walk
+  (2, 10, (0, 0, 0, 0, 0, 1, 1, 1, 1, 1), 17),  # one past it
+  (5, 5, (0, 0, 0, 0, 1), 20),                  # B * C, B = 5, C = 4
+  (5, 6, (0, 0, 0, 0, 1, 1), 24),               # B * C - 1, B = C = 5
+  (5, 6, (0, 0, 0, 0, 0, 1), 25),               # B * C = B^2
+  (3, 10, (0, 0, 0, 0, 0, 1, 2, 1, 2, 1), 41),  # B * C - 1, B = 7, C = 6
+]
+
+
 class TestOrbitSummary:
+  @pytest.mark.parametrize('m,n,u,count', SUMMARY_EDGES)
+  def test_states_at_walk_and_grid_edges(self, m, n, u, count):
+    # At caps count and the default, and refused one state short.
+    sys = make_system(m, n)
+    truth = dict_walk(sys, u, count)
+    assert sum(truth) == count
+    for cap in (count, ORBIT_VISIT_CAP):
+      assert_replays(sys, u, orbit_summary(sys, u, max_states=cap), truth)
+    with pytest.raises(CapExceededError) as info:
+      orbit_summary(sys, u, max_states=count - 1)
+    assert (info.value.required, info.value.cap) == (count, count - 1)
+
+  def test_long_orbit_on_the_grid(self):
+    # 2,401 states of 60 cells: 49 checkpoints stepped 48 times.
+    sys = make_system(7, 60)
+    u = basic_tuple(sys)
+    truth = dict_walk(sys, u, 1 << 13)
+    assert sum(truth) == 2401
+    assert_replays(sys, u, orbit_summary(sys, u, max_states=1 << 13), truth)
+
   def test_component_walk(self):
     sys = make_system(4, 3)
     summary = orbit_summary(sys, (3, 1, 3))
@@ -290,9 +336,29 @@ class TestEngine:
       if cap >= 0:
         check_engine(sys, u, cap, truth)
 
+  @pytest.mark.parametrize('m,n,u,dtype', [
+    (2, 11, None, np.int64),                          # circulant, n <= b
+    (2, 21, None, np.int64),                          # convolution, n > b
+    (2 ** 64, 3, (0, 0, 2 ** 49), np.uint64),         # nothing to reduce
+    (2 ** 33, 5, (0, 0, 0, 0, 2 ** 30), np.uint64),
+    (10 ** 19 + 7, 3, (0, 0, (10 ** 19 + 7) // 191), object)])
+  def test_giant_steps_at_caps_around_their_orbit(self, m, n, u, dtype):
+    # per > b = ceil(sqrt(cap)) at cap len + per: the b baby steps from
+    # D^cap(u), on the cycle, see no repeat, so giant steps find per.
+    sys = make_system(m, n)
+    u = u or basic_tuple(sys)
+    assert _dtype(sys) == dtype
+    truth = dict_walk(sys, u, 5000)
+    count = sum(truth)
+    assert count > _OPENING and truth[1] > math.isqrt(count - 1) + 1
+    for cap in (count - 1, count):
+      check_engine(sys, u, cap, truth)
+    assert_replays(sys, u, orbit_summary(sys, u, max_states=count), truth)
+
   def test_decision_steps_no_tuples(self, monkeypatch):
-    # An orbit longer than ceil(sqrt(cap)) and a refusal are decided on
-    # coefficient arrays alone: stepping a tuple would raise.
+    # An orbit longer than ceil(sqrt(cap)) and a refusal are decided,
+    # and the orbit's states built, on coefficient arrays alone:
+    # stepping a tuple would raise.
     cap = 1 << 13
     fits, beyond = make_system(6, 30), make_system(7, 29)
     truth = dict_walk(fits, basic_tuple(fits), cap)
@@ -300,9 +366,11 @@ class TestEngine:
 
     def no_step(*args):
       raise AssertionError('a state tuple was stepped')
-    monkeypatch.setattr('ducci.orbits._step', no_step)
+    monkeypatch.setattr('ducci.core._step', no_step)
     assert orbit_len_per_lowmem(fits, basic_tuple(fits),
                                 max_steps=cap) == truth
+    summary = orbit_summary(fits, basic_tuple(fits), max_states=cap)
+    assert (summary.len, summary.per) == truth
     with pytest.raises(CapExceededError) as info:
       orbit_len_per_lowmem(beyond, basic_tuple(beyond), max_steps=cap)
     assert (info.value.required, info.value.cap) == (cap + 1, cap)
@@ -316,6 +384,20 @@ class TestEngine:
     assert brent(sys, u) == (70, 6)
     for cap in range(100):
       check_engine(sys, u, cap, (70, 6))
+
+  def test_refusal_walks_o_sqrt_cap_steps(self, monkeypatch):
+    # Below cap 76 the basic orbit of Z_{2^70}^3, (len, per) = (70, 6),
+    # is refused.  Baby and giant steps can still meet, and then the
+    # lockstep of u and D^p(u) stops after b steps, not after len.
+    sys = make_system(2 ** 70, 3)
+    steps, step = [], ducci.orbits._times_1x
+    monkeypatch.setattr(ducci.orbits, '_times_1x',
+                        lambda *args: steps.append(1) or step(*args))
+    for cap in range(1, 76):
+      steps.clear()
+      with pytest.raises(CapExceededError):
+        _len_per(sys, basic_tuple(sys), cap)
+      assert len(steps) <= _OPENING + 3 * (math.isqrt(cap - 1) + 1), cap
 
   def test_lowmem_matches_brent(self):
     for m, n in SMALL_SYSTEMS:

@@ -12,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 import ducci.verify
 from ducci import (_statespace, coeffs, exit_code, make_system,
                    reports_to_jsonl, run_checks, summary_table)
+from ducci.cli import main
 from ducci.errors import CapExceededError, ParameterError
 from ducci.limits import COEFF_CELL_CAP
 from ducci.orbits import basic_len_per
@@ -101,6 +102,16 @@ class TestSkips:
     skipped = [c for c in report.cases if c.verdict == 'skip']
     assert skipped and all(c.reason.startswith('hypothesis') for c in skipped)
     assert report.verdict == 'pass'     # the in-hypothesis cases still ran
+
+  @pytest.mark.parametrize('argv', [('sum1', '--l-min', '-1', '--l-max', '1'),
+                                    ('all', '--l-min', '-1')])
+  def test_negative_l_is_a_hypothesis_skip_in_sum1(self, capsys, argv):
+    assert main(['verify', *argv]) == 0
+    reports = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    [sum1] = [r for r in reports if r['check_id'] == 'coeff_pair_sum1']
+    below = [c for c in sum1['cases'] if c['params']['l'] < 0]
+    assert len(below) == 6 and sum1['verdict'] == 'pass'
+    assert {c['reason'] for c in below} == {'hypothesis: l must be >= 0'}
 
   def test_all_hypothesis_skips_skip_the_report(self):
     report = verify_binomial_congruences(range(0, 2))

@@ -36,11 +36,6 @@ def digits(codes: np.ndarray, m: int, n: int) -> np.ndarray:
   return codes[:, None] // m ** np.arange(n - 1, -1, -1, dtype=np.int64) % m
 
 
-def encode_rows(rows: np.ndarray, m: int) -> np.ndarray:
-  '''Codes of the digit rows along the last axis; inverts `digits`.'''
-  return rows @ m ** np.arange(rows.shape[-1] - 1, -1, -1, dtype=np.int64)
-
-
 def texts(codes: np.ndarray, m: int, n: int, open_: str,
           close: str) -> list[str]:
   '''Text of the states with the given codes, open_ + "d_1,...,d_n" +
@@ -92,33 +87,6 @@ def cycle_mask(succ: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     if np.count_nonzero(image) == np.count_nonzero(on_cycle):
       return on_cycle, to_cycle
     on_cycle = image
-
-
-def closure_generators(codes: np.ndarray, rows: np.ndarray, m: int,
-                       ) -> tuple[list[int], tuple[int, int] | None]:
-  '''(gens, escape) for a set K of states holding 0 (ascending codes,
-  digit matrix `rows`).  A member outside the span so far is a generator
-  g once one pass shows K + g in K.  The span grows by multiples of g,
-  at least doubling: at most log2 |K| passes, not |K|^2 sums.  If K is
-  closed under +, K = <gens> and escape is None.  Else the first g fails
-  and escape holds the positions of g and of its first partner v with
-  g + v outside K: the first such pair over all members, as K + u is in
-  K for each u in the span, which holds every member before g.'''
-  n = rows.shape[1]
-  member, span = np.zeros(m ** n, dtype=bool), np.zeros(m ** n, dtype=bool)
-  member[codes] = span[0] = True
-  span_rows, gens = np.zeros((1, n), dtype=np.int64), []
-  while (outside := np.flatnonzero(~span[codes])).size:
-    g = rows[outside[0]]
-    inside = member[encode_rows((rows + g) % m, m)]
-    if not inside.all():
-      return gens, (int(outside[0]), int(np.argmax(~inside)))
-    multiples = np.arange(m + 1)[:, None] * g % m
-    order = int(np.argmax(span[encode_rows(multiples[1:], m)])) + 1
-    span_rows = ((span_rows + multiples[:order, None]) % m).reshape(-1, n)
-    span[encode_rows(span_rows, m)] = True
-    gens.append(int(codes[outside[0]]))
-  return gens, None
 
 
 def tail_cycle_tables(succ: np.ndarray) -> tuple[np.ndarray, ...]:

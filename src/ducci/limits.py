@@ -12,5 +12,6 @@ ENUM_NODE_CAP = 1 << 20
 
 # Most cells a coefficient table ((r + 1) * n), the products of one row's
 # convolutions (min(r + 1, n) * n), a binomial row (N + 1), an odd-residue
-# table or a stored orbit ((len + per) * n) may span.
+# table or a stored orbit ((len + per) * n) may span.  It also bounds the
+# elimination behind verify's subgroup and preds (n^3, so n <= 256).
 COEFF_CELL_CAP = 1 << 24

@@ -27,7 +27,8 @@ import numpy as np
 from . import _statespace
 from .coeffs import (_check_cells, _dtype, _flip, _mod, _power, _times,
                      _times_1x)
-from .core import DucciSystem, ResidueTuple, basic_tuple, validate_tuple
+from .core import (DucciSystem, ResidueTuple, basic_tuple, format_tuple,
+                   validate_tuple)
 from .errors import CapExceededError, ParameterError
 from .limits import ENUM_NODE_CAP, ORBIT_VISIT_CAP
 
@@ -150,8 +151,10 @@ def _len_per(sys: DucciSystem, u: ResidueTuple, cap: int,
       if (k := key(z)) in baby:
         p = i * b - baby[k]
         break
+  text = format_tuple(u) if len(u) <= 8 else (
+    format_tuple(u[:4])[:-1] + ',...,' + format_tuple(u[-4:])[1:])
   refused = CapExceededError(
-    f'orbit of {u[:8]}... in {sys} exceeds {cap} states',
+    f'orbit of {text} in {sys} exceeds {cap} states',
     required=max(cap, 0) + 1, cap=cap)
   if p is None or p > cap:
     raise refused

@@ -4,8 +4,8 @@ Each `verify_*` function sweeps a parameter family, evaluates one
 claimed identity case by case, and returns a `CheckReport`.  A failing
 case carries a minimal counterexample (smallest swept parameters
 first, then lexicographically smallest witness).  Cases whose
-hypotheses are not met, or whose state space or coefficient row
-exceeds its cap, are reported as skips rather than failures.
+hypotheses are not met, or whose orbit walk, coefficient row or
+elimination exceeds its cap, are reported as skips rather than failures.
 
 Checked claims, with their check ids:
 
@@ -16,7 +16,7 @@ Checked claims, with their check ids:
                          l * 2^k steps
   binary_length_formula  in Z_2^n the basic pre-period is 2^v2(n)
   trivial_kernel         the kernel of Z_{2^l}^{2^k} is {0}
-  cycle_subgroup         the kernel is a subgroup, closed under
+  cycle_subgroup         the cycle states are a subgroup, closed under
                          rotation and scaling, permuted by the map
   predecessor_count      for even n every state has 0 or exactly m
                          predecessors, forming one translation family
@@ -39,20 +39,21 @@ reaches the checks through `_CHECKS`, one row per CLI name with that
 check's default ranges.  Adding a check means one case function and
 one row.
 
-The length formula and its lower bound read coefficient rows
-L - 1 and L of L = (l+1) * 2^(k-1).  The trivial kernel and, on spaces
-of at most 2^16 states, the vanishing bound are proved by row l * 2^k
-and never enumerated: the kernel is {0}, and every state vanishes,
-exactly when that row is zero.  Larger spaces of the vanishing bound
-step seeded samples.  State-space checks are numpy passes on integer
-state codes: closure against a greedy generating set of the kernel,
-predecessor families by a stable sort of the successor array.
+No check enumerates a state space.  The length formula and its lower
+bound read coefficient rows L - 1 and L of L = (l+1) * 2^(k-1).  The
+trivial kernel and, on spaces of at most 2^16 states, the vanishing
+bound are proved by row l * 2^k: the kernel is {0}, and every state
+vanishes, exactly when that row is zero.  Larger spaces of the
+vanishing bound step seeded samples.  The cycle subgroup and the
+predecessor count compare the orders of images D^r(Z_m^n), each the
+span of the n rotations of row r, found by elimination over Z_m.
 Congruence cases read one row each at their own modulus 2^l.
 '''
 
 from __future__ import annotations
 
 import json
+import math
 import random
 import time
 from dataclasses import dataclass, field
@@ -61,11 +62,10 @@ from types import SimpleNamespace
 import numpy as np
 
 from . import _statespace
-from .coeffs import (_flip, _row, _times_1x, binom_mod_pow2,
+from .coeffs import (_check_cells, _flip, _row, _times_1x, binom_mod_pow2,
                      binom_mod_pow2_range)
-from .core import make_system
+from .core import DucciSystem, make_system
 from .errors import CapExceededError, ParameterError
-from .limits import ENUM_NODE_CAP
 from .orbits import basic_len_per
 
 __all__ = [
@@ -281,69 +281,76 @@ def verify_trivial_kernel(k_range=range(1, 6),
   return _kl_sweep('trivial_kernel', k_range, l_range, case)
 
 
-def verify_cycle_subgroup(m: int, n: int, *,
-                          max_states: int = ENUM_NODE_CAP) -> CheckReport:
-  '''The kernel is a subgroup of Z_m^n, rotation- and scaling-closed,
-  and the pair-sum map permutes it.  Closure under + is tested against
-  a greedy generating set, which also names the first escaping pair of
-  members.  A finite set that holds 0 and is closed under + is a
-  subgroup: -u and lam * u are sums of copies of u, so negation and
-  scaling need no pass of their own.'''
+def _span_order(rows, m: int) -> int:
+  '''Size of the Z_m-span of `rows`, equal-length lists of residues,
+  by elimination column by column.  Euclid row steps leave one row with
+  a nonzero cell c in the column, and the span grows by the m / gcd(c, m)
+  multiples of c.  That many times the pivot row is zero in the column
+  and joins the rows for the later columns (Howell's step): without it
+  the span loses those multiples of the pivot.'''
+  # A row step subtracts q * cell, both below m: int64 while that fits.
+  a = np.array(rows, np.int64 if (m - 1) ** 2 < 1 << 62 else object) % m
+  order = 1
+  for j in range(a.shape[1]):
+    a = a[a[:, j:].any(axis=1)]
+    while (nz := np.flatnonzero(a[:, j])).size > 1:
+      p = nz[np.argmin(a[nz, j])]
+      q = a[nz, j] // a[p, j]
+      q[nz == p] = 0
+      a[nz] = (a[nz] - q[:, None] * a[p]) % m
+    if nz.size:
+      t = m // math.gcd(int(a[nz[0], j]), m)
+      order *= t
+      a[nz[0]] = a[nz[0]] * t % m
+  return order
+
+
+def _image_order(sys: DucciSystem, r: int) -> int:
+  '''|D^r(Z_m^n)|.  D^r is the circulant of row r, so its image is the
+  span of the row's n rotations; refused past n^3 cells of elimination.'''
+  _check_cells(sys.n ** 3, 'elimination')
+  row = _row(sys, r).tolist()
+  return _span_order([row[i:] + row[:i] for i in range(sys.n)], sys.m)
+
+
+def verify_cycle_subgroup(m: int, n: int) -> CheckReport:
+  '''The cycle states of Z_m^n form a subgroup, closed under rotation
+  and scaling, that the pair-sum map permutes.
+
+  Decided from coefficient rows, never by enumeration.  The images
+  D^r(Z) are nested subgroups and each strict shrink at least halves
+  them, so from R = n * bitlen(m - 1) >= log2 |Z| on they are the cycle
+  states.  Equal orders of D^R(Z) and D^(R+1)(Z) show that D maps them
+  onto themselves, hence permutes them; an image of a homomorphism is a
+  subgroup, and rotation, which commutes with every circulant, keeps it.'''
   def case(m, n):
-    sys = make_system(m, n)
-    codes = _statespace.kernel_codes(m, n, max_states)
-    mat = _statespace.digits(codes, m, n)
-    mask = np.zeros(sys.state_count, dtype=bool)
-    mask[codes] = True
-    if codes[0] != 0:
-      return 'fail', {'violation': 'identity_missing'}
-    escape = _statespace.closure_generators(codes, mat, m)[1]
-    if escape is not None:
-      u, v = mat[list(escape)].tolist()
-      return 'fail', {'violation': 'sum_escapes', 'u': u, 'v': v}
-    rotated = np.roll(mat, -1, axis=1)
-    image = _statespace.encode_rows((mat + rotated) % m, m)
-    for kind, targets in (('rotation_escapes',
-                           _statespace.encode_rows(rotated, m)),
-                          ('image_escapes', image)):
-      inside = mask[targets]
-      if not inside.all():
-        return 'fail', {'violation': kind,
-                        'u': mat[int(np.argmax(~inside))].tolist()}
-    if np.unique(image).size != codes.size:
-      return 'fail', {'violation': 'image_not_injective'}
-    return 'pass', {'order': codes.size}
+    sys, row = make_system(m, n), n * (m - 1).bit_length()
+    orders = [_image_order(sys, row), _image_order(sys, row + 1)]
+    if orders[0] != orders[1]:
+      return 'fail', {'violation': 'image_still_shrinking', 'row': row,
+                      'orders': orders}
+    return 'pass', {'order': orders[0]}
   params = {'m': m, 'n': n}
   return _sweep('cycle_subgroup', params, [params], case)
 
 
-def verify_predecessor_count(m: int, n: int, *,
-                             max_states: int = ENUM_NODE_CAP) -> CheckReport:
+def verify_predecessor_count(m: int, n: int) -> CheckReport:
   '''For even n: every state has 0 or exactly m predecessors, and the
   predecessors of a state form one translation family
-  (y_1 + z, y_2 - z, ..., y_{n-1} + z, y_n - z) for z in 0..m-1.'''
+  (y_1 + z, y_2 - z, ..., y_{n-1} + z, y_n - z) for z in 0..m-1.
+
+  Decided from row 1 by elimination.  Every fibre of D is empty or a
+  coset of ker D, which holds the m multiples of (1, -1, ..., 1, -1);
+  so both claims hold exactly when |ker D| = m^n / |D(Z)| is m.  The zero
+  state has exactly |ker D| predecessors, the witness otherwise.'''
   def case(m, n):
     sys = make_system(m, n)
     if n % 2 == 1:
       return 'skip', 'hypothesis: n must be even'
-    succ = _statespace.successor_array(m, n, max_states)
-    indeg = np.bincount(succ, minlength=sys.state_count)
-    bad = np.nonzero((indeg != 0) & (indeg != m))[0]
-    if bad.size:
-      return 'fail', {'state': _statespace.digits(bad[:1], m, n)[0].tolist(),
-                      'count': int(indeg[bad[0]])}
-    # In-degrees are 0 or m, so a stable sort of the successor array puts
-    # each target's predecessors in one row (m codes, ascending).
-    preds = np.argsort(succ, kind='stable').reshape(-1, m)
-    base = _statespace.digits(preds[:, 0], m, n)
-    alt = np.where(np.arange(n) % 2 == 0, 1, m - 1)
-    family = np.sort([_statespace.encode_rows((base + z * alt) % m, m)
-                      for z in range(m)], 0)
-    bad = np.flatnonzero((family != preds.T).any(axis=0))
-    if bad.size:
-      state = _statespace.digits(succ[preds[bad[:1], 0]], m, n)[0].tolist()
-      return 'fail', {'state': state, 'count': m}
-    return 'pass', {'states': sys.state_count, 'with_preds': len(preds)}
+    image = _image_order(sys, 1)
+    if m * image != sys.state_count:
+      return 'fail', {'state': [0] * n, 'count': sys.state_count // image}
+    return 'pass', {'states': sys.state_count, 'with_preds': image}
   params = {'m': m, 'n': n}
   return _sweep('predecessor_count', params, [params], case)
 
@@ -460,11 +467,8 @@ _CHECKS = {
   'l2': lambda a: [verify_binary_length_formula(
     16 if a.n_max is None else a.n_max)],
   'kernel': lambda a: [verify_trivial_kernel(a.k(1, 5), a.l(1, 6))],
-  'subgroup': lambda a: [verify_cycle_subgroup(m, n, max_states=a.max_states)
-                         for m, n in a.systems],
-  'preds': lambda a: [verify_predecessor_count(m, n,
-                                               max_states=a.max_states)
-                      for m, n in a.systems],
+  'subgroup': lambda a: [verify_cycle_subgroup(m, n) for m, n in a.systems],
+  'preds': lambda a: [verify_predecessor_count(m, n) for m, n in a.systems],
   'binom': lambda a: [verify_binomial_congruences(a.j(2, 16))],
   'sum1': lambda a: [verify_coeff_pair_sum1(a.k(1, 6), a.l(1, 6))],
   'sum2': lambda a: [verify_coeff_pair_sum2(a.k(2, 6), a.l(3, 6))],
@@ -479,8 +483,7 @@ DEFAULT_SYSTEMS = tuple(
 
 def run_checks(names=None, *, k_min=None, k_max=None, l_min=None, l_max=None,
                j_min=None, j_max=None, n_max=None, samples: int = 100,
-               seed: int = 0, systems=None,
-               max_states: int = ENUM_NODE_CAP) -> list[CheckReport]:
+               seed: int = 0, systems=None) -> list[CheckReport]:
   '''Run the named checks (all of them by default) and return reports
   sorted by check id and parameters.
 
@@ -501,7 +504,6 @@ def run_checks(names=None, *, k_min=None, k_max=None, l_min=None, l_max=None,
   args = SimpleNamespace(
     k=bounded(k_min, k_max), l=bounded(l_min, l_max),
     j=bounded(j_min, j_max), n_max=n_max, samples=samples, seed=seed,
-    max_states=max_states,
     systems=list(DEFAULT_SYSTEMS) if systems is None else list(systems))
   reports = [report for name in selected for report in _CHECKS[name](args)]
   reports.sort(key=lambda r: (r.check_id,

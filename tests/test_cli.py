@@ -76,6 +76,19 @@ class TestStep:
     assert code == 0
     assert json.loads(out) == [4, 1, 2]
 
+  def test_negative_shift_is_a_usage_error(self, capsys):
+    code, out, err = run_cli(capsys, 'step', '--m', '5', '--n', '3',
+                             '--tuple', '1,2,3', '--shift', '-1', '--r', '0')
+    assert (code, out) == (2, '')
+    assert '--shift must be >= 0' in err
+
+  def test_shift_rotates_count_mod_n_times(self, capsys):
+    # 10^18 + 1 is 2 mod 3; that many single rotations would not finish.
+    code, out, _ = run_cli(capsys, 'step', '--m', '5', '--n', '3',
+                           '--tuple', '1,2,3', '--shift', str(10 ** 18 + 1),
+                           '--r', '0')
+    assert (code, json.loads(out)) == (0, [3, 1, 2])
+
   def test_k_l_shorthand(self, capsys):
     code, out, _ = run_cli(capsys, 'step', '--k', '1', '--l', '2',
                            '--tuple', '3,1')
@@ -133,10 +146,16 @@ class TestOrbit:
     ' --vanishes',
   ])
   def test_refusal_message_is_pinned(self, capsys, argv):
-    # The message names the queried state, the basic tuple here.
-    err = ('error: orbit of (0, 0, 0, 0, 0, 0, 0, 0)... in Z_7^31 exceeds '
+    # The message names the queried state, the basic tuple here, by its
+    # first and last four entries.
+    err = ('error: orbit of (0,0,0,0,...,0,0,0,1) in Z_7^31 exceeds '
            '1000 states\n')
     assert run_cli(capsys, *argv.split()) == (3, '', err)
+
+  def test_short_refusal_names_the_whole_tuple(self, capsys):
+    assert run_cli(capsys, 'orbit', '--m', '7', '--n', '5', '--tuple',
+                   '1,2,3,4,5', '--max-states', '10') == (
+      3, '', 'error: orbit of (1,2,3,4,5) in Z_7^5 exceeds 10 states\n')
 
   def test_text_format_mentions_lengths(self, capsys):
     _, out, _ = run_cli(capsys, 'orbit', '--m', '4', '--n', '2',
@@ -369,12 +388,19 @@ class TestVerify:
     assert json.loads(out)['verdict'] == 'skip'
 
   def test_cap_skip_exits_three(self, capsys):
-    code, out, _ = run_cli(capsys, 'verify', 'subgroup', '--m', '4',
-                           '--n', '4', '--max-states', '100')
+    # Elimination over Z_2^257 passes the cell cap.
+    code, out, _ = run_cli(capsys, 'verify', 'subgroup', '--m', '2',
+                           '--n', '257')
     assert code == 3
     cases = json.loads(out)['cases']
     reasons = [c.get('reason', '') for c in cases if c['verdict'] == 'skip']
     assert reasons and all(r.startswith('cap') for r in reasons)
+
+  def test_max_states_is_accepted_and_ignored(self, capsys):
+    # A cap of one state no longer skips: no check enumerates Z_3^4.
+    code, out, _ = run_cli(capsys, 'verify', 'subgroup', '--m', '3',
+                           '--n', '4', '--max-states', '1')
+    assert (code, json.loads(out)['verdict']) == (0, 'pass')
 
   @pytest.mark.parametrize('samples', ['0', '-3'])
   def test_no_samples_is_a_usage_error(self, capsys, samples):
@@ -400,13 +426,11 @@ class TestVerify:
 
   def test_text_summary_rows_are_distinct(self, capsys):
     # Every system gets its own cycle_subgroup and predecessor_count
-    # row; the params column tells them apart.  Systems above the cap
-    # are cap skips, which keeps the run short.
+    # row; the params column tells them apart.
     code, out, _ = run_cli(capsys, 'verify', 'all', '--format', 'text',
-                           '--max-states', '4096', '--k-max', '3',
-                           '--l-max', '3', '--j-max', '6', '--n-max', '8',
-                           '--samples', '10')
-    assert code == 3
+                           '--k-max', '3', '--l-max', '3', '--j-max', '6',
+                           '--n-max', '8', '--samples', '10')
+    assert code == 0
     header, *rows = out.splitlines()
     assert header.split()[:2] == ['check_id', 'params']
     assert len(rows) == 9 + 2 * len(DEFAULT_SYSTEMS)

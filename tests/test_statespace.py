@@ -210,17 +210,6 @@ def test_successor_array_matches_stepping():
     assert _statespace.successor_array(m, n).tolist() == want, (m, n)
 
 
-def test_encode_rows_inverts_digits():
-  for m, n in [(2, 1), (5, 1), (3, 2), (4, 5), (6, 3), (7, 4)]:
-    codes = np.arange(m ** n)
-    rows = _statespace.digits(codes, m, n)
-    assert _statespace.encode_rows(rows, m).tolist() == [
-      _statespace.encode(u, m) for u in rows.tolist()], (m, n)
-    # Stacked digit matrices encode row by row.
-    assert _statespace.encode_rows(np.stack((rows, rows[::-1])), m).tolist(
-      ) == [codes.tolist(), codes[::-1].tolist()], (m, n)
-
-
 # --- verification passes against their slow forms ---------------------------
 
 EVEN_DESK = [(m, n) for m, n in DESK_SYSTEMS if n % 2 == 0]

@@ -15,7 +15,7 @@ from ducci import (_statespace, coeffs, exit_code, make_system,
 from ducci.cli import main
 from ducci.errors import CapExceededError, ParameterError
 from ducci.limits import COEFF_CELL_CAP
-from ducci.orbits import basic_len_per
+from ducci.orbits import basic_len_per, predecessors
 from ducci.verify import (CHECK_NAMES, DEFAULT_SYSTEMS, CaseResult,
                           CheckReport, verify_binary_length_formula,
                           verify_binomial_congruences, verify_coeff_pair_sum1,
@@ -119,15 +119,19 @@ class TestSkips:
     assert exit_code([report]) == 0
 
   def test_cap_skip_sets_exit_three(self):
-    report = verify_cycle_subgroup(4, 3, max_states=10)
+    report = verify_predecessor_count(2, 258)
     assert report.verdict == 'skip'
     assert report.cases[0].reason.startswith('cap')
     assert exit_code([report]) == 3
 
   def test_subgroup_cap_skip(self):
-    report = verify_cycle_subgroup(6, 8)
+    # Elimination touches n^3 cells, so n = 256 is the last n decided.
+    assert verify_cycle_subgroup(2, 256).cases[0].observed == {'order': 1}
+    report = verify_cycle_subgroup(2, 257)
     assert report.verdict == 'skip'
-    assert report.cases[0].reason.startswith('cap')
+    assert report.cases[0].reason == (
+      f'cap: elimination of {257 ** 3} cells exceeds the '
+      f'{COEFF_CELL_CAP}-cell cap')
 
 
 class TestRunner:
@@ -223,14 +227,13 @@ class TestRunner:
 
   def test_narrow_sweep_jsonl_is_pinned(self):
     # Ranges starting at 0 reach every check's hypothesis skip (sum1's
-    # per-k {'k': 0} case included), and a cap of 64 states reaches the
-    # cap skips of subgroup and preds; the default sweeps reach none of
-    # these.  The kernel check reads one row and ignores the state cap.
+    # per-k {'k': 0} case included), and Z_2^258 reaches the cap skips
+    # of subgroup and preds; the default sweeps reach none of these.
     text = reports_to_jsonl(run_checks(
       k_min=0, k_max=2, l_min=0, l_max=3, j_min=0, j_max=3, n_max=3,
-      systems=[(2, 3), (3, 2), (6, 8)], samples=5, seed=3, max_states=64))
+      systems=[(2, 3), (3, 2), (2, 258)], samples=5, seed=3))
     assert hashlib.sha256(text.encode()).hexdigest() == (
-      '7e40c1eb059c736c64441e8e7034404ed2c21ec21624c052ff1fbd0bea4a4f7d')
+      '1b807fd07036f7fab11e6b5c22f8633429ccca51cfdb64e160cdb9da94c448fd')
 
 
 class TestReports:
@@ -285,21 +288,57 @@ class TestReports:
     assert len(set(len(line) for line in lines)) <= 2  # aligned columns
 
 
-# --- closure against a generating set -----------------------------------
+# --- closure of the enumerated kernel against a generating set --------------
+#
+# The enumeration side of the subgroup claim: the cycle states that
+# kernel_codes lists are closed under +, shown by a greedy generating set
+# that is itself checked against a scan of all pairs.
+
+def encode_rows(rows, m):
+  '''Codes of the digit rows along the last axis; inverts `digits`.'''
+  return rows @ m ** np.arange(rows.shape[-1] - 1, -1, -1, dtype=np.int64)
+
+
+def closure_generators(codes, rows, m):
+  '''(gens, escape) for a set K of states holding 0 (ascending codes,
+  digit matrix `rows`).  A member outside the span so far is a generator
+  g once one pass shows K + g in K.  The span grows by multiples of g,
+  at least doubling: at most log2 |K| passes, not |K|^2 sums.  If K is
+  closed under +, K = <gens> and escape is None.  Else the first g fails
+  and escape holds the positions of g and of its first partner v with
+  g + v outside K: the first such pair over all members, as K + u is in
+  K for each u in the span, which holds every member before g.'''
+  n = rows.shape[1]
+  member, span = np.zeros(m ** n, dtype=bool), np.zeros(m ** n, dtype=bool)
+  member[codes] = span[0] = True
+  span_rows, gens = np.zeros((1, n), dtype=np.int64), []
+  while (outside := np.flatnonzero(~span[codes])).size:
+    g = rows[outside[0]]
+    inside = member[encode_rows((rows + g) % m, m)]
+    if not inside.all():
+      return gens, (int(outside[0]), int(np.argmax(~inside)))
+    multiples = np.arange(m + 1)[:, None] * g % m
+    order = int(np.argmax(span[encode_rows(multiples[1:], m)])) + 1
+    span_rows = ((span_rows + multiples[:order, None]) % m).reshape(-1, n)
+    span[encode_rows(span_rows, m)] = True
+    gens.append(int(codes[outside[0]]))
+  return gens, None
+
 
 def span_oracle(gens, m, n):
-  '''Codes of the subgroup generated by the given codes, by search.'''
-  rows = [tuple(row) for row in
-          _statespace.digits(np.array(gens, dtype=np.int64), m, n).tolist()]
-  seen, todo = {(0,) * n}, [(0,) * n]
-  while todo:
-    u = todo.pop()
-    for g in rows:
-      v = tuple((a + b) % m for a, b in zip(u, g))
-      if v not in seen:
-        seen.add(v)
-        todo.append(v)
-  return sorted(_statespace.encode(u, m) for u in seen)
+  '''Codes of the subgroup generated by the given codes, ascending, by
+  breadth-first search from 0.'''
+  rows = _statespace.digits(np.array(gens, dtype=np.int64), m, n)
+  seen = np.zeros(m ** n, dtype=bool)
+  seen[0] = True
+  frontier = np.zeros((1, n), dtype=np.int64)
+  while frontier.size:
+    ahead = ((frontier[:, None] + rows) % m).reshape(-1, n)
+    codes, first = np.unique(encode_rows(ahead, m), return_index=True)
+    new = ~seen[codes]
+    seen[codes[new]] = True
+    frontier = ahead[first[new]]
+  return np.flatnonzero(seen).tolist()
 
 
 @st.composite
@@ -320,43 +359,8 @@ def sets_holding_zero(draw):
   return m, n, sorted(members)
 
 
-class TestClosure:
-  @settings(max_examples=300, deadline=None)
-  @given(sets_holding_zero())
-  def test_generators_match_pairwise_scan(self, case):
-    m, n, codes = case
-    codes = np.array(codes, dtype=np.int64)
-    mat = _statespace.digits(codes, m, n)
-    gens, escape = _statespace.closure_generators(codes, mat, m)
-    want = old_subgroup_witness(codes, mat, m, n)
-    closed = want is None or want['violation'] != 'sum_escapes'
-    assert (escape is None) == closed
-    if closed:
-      assert span_oracle(gens, m, n) == codes.tolist()
-      assert len(gens) <= len(codes).bit_length() - 1
-    else:
-      assert [mat[i].tolist() for i in escape] == [want['u'], want['v']]
-
-  @pytest.mark.parametrize('m,n', DEFAULT_SYSTEMS)
-  def test_at_most_log2_generators(self, m, n):
-    # The pass count that replaced the |K|^2 pair scan, pinned without a
-    # wall-clock bound: each generator at least doubles the span.
-    codes = _statespace.kernel_codes(m, n)
-    gens, escape = _statespace.closure_generators(
-      codes, _statespace.digits(codes, m, n), m)
-    assert escape is None
-    assert len(gens) <= len(codes).bit_length() - 1
-
-
-# --- failure paths against the former per-pair and per-state loops ---------
-#
-# The pair-sum map never breaks these claims, so each test feeds a broken
-# kernel, successor array or step into the check through the `_statespace`
-# functions it calls, and compares the verdict and witness with a copy of
-# the loop the check used before its numpy passes.
-
-def old_subgroup_witness(codes, mat, m, n):
-  '''The former verify_cycle_subgroup checks, in order, over all pairs.'''
+def pairwise_witness(codes, mat, m, n):
+  '''The checks of a set of states holding 0, in order, over all pairs.'''
   weights = np.array([m ** (n - 1 - i) for i in range(n)], dtype=np.int64)
   mask = np.zeros(m ** n, dtype=bool)
   mask[codes] = True
@@ -390,28 +394,39 @@ def old_subgroup_witness(codes, mat, m, n):
   return None
 
 
-def old_predecessor_witness(succ, m, n):
-  '''The former per-state loop of verify_predecessor_count, with each
-  state's preimages under `succ` in place of `predecessors()`.'''
-  indeg = np.bincount(succ, minlength=m ** n)
-  bad = np.nonzero((indeg != 0) & (indeg != m))[0]
-  if bad.size:
-    return {'state': _statespace.digits(bad[:1], m, n)[0].tolist(),
-            'count': int(indeg[bad[0]])}
-  states = list(itertools.product(range(m), repeat=n))
-  preimages = [[] for _ in states]
-  for code, target in enumerate(succ.tolist()):
-    preimages[target].append(states[code])
-  alt = tuple(1 if i % 2 == 0 else m - 1 for i in range(n))
-  for code in np.nonzero(indeg == m)[0]:
-    preds = preimages[code]
-    base = preds[0]
-    family = sorted(tuple((base[i] + z * alt[i]) % m for i in range(n))
-                    for z in range(m))
-    if len(preds) != m or preds != family:
-      return {'state': list(states[code]), 'count': len(preds)}
-  return None
+class TestClosure:
+  @settings(max_examples=300, deadline=None)
+  @given(sets_holding_zero())
+  def test_generators_match_pairwise_scan(self, case):
+    m, n, codes = case
+    codes = np.array(codes, dtype=np.int64)
+    mat = _statespace.digits(codes, m, n)
+    gens, escape = closure_generators(codes, mat, m)
+    want = pairwise_witness(codes, mat, m, n)
+    closed = want is None or want['violation'] != 'sum_escapes'
+    assert (escape is None) == closed
+    if closed:
+      assert span_oracle(gens, m, n) == codes.tolist()
+      assert len(gens) <= len(codes).bit_length() - 1
+    else:
+      assert [mat[i].tolist() for i in escape] == [want['u'], want['v']]
 
+  @pytest.mark.parametrize('m,n', DEFAULT_SYSTEMS)
+  def test_at_most_log2_generators(self, m, n):
+    # The enumerated cycle states are closed under +; each generator at
+    # least doubles the span.
+    codes = _statespace.kernel_codes(m, n)
+    gens, escape = closure_generators(
+      codes, _statespace.digits(codes, m, n), m)
+    assert escape is None
+    assert len(gens) <= len(codes).bit_length() - 1
+
+
+# --- failure paths ---------------------------------------------------------
+#
+# The pair-sum map never breaks these claims, so each test feeds a broken
+# coefficient row or step into the check, and pins the verdict and
+# witness by hand or against a slow loop.
 
 def old_vanishing_cases(k_range, l_range, samples, seed, exhaustive_limit,
                         walk):
@@ -453,28 +468,27 @@ def row_map(row, u, m):
 
 
 class TestFailurePaths:
-  @settings(max_examples=300, deadline=None)
-  @given(sets_holding_zero())
-  def test_subgroup_witness_matches_pairwise_scan(self, case):
-    m, n, members = case
-    codes = np.array(members, dtype=np.int64)
-    mat = _statespace.digits(codes, m, n)
+  def test_subgroup_witness_names_both_orders(self):
+    # Row R = 4 of Z_3^2 faked as (1, 0), so D^4 would be onto, and row 5
+    # as zero: the images would still shrink past log2 |Z|.
     with pytest.MonkeyPatch.context() as patch:
-      patch.setattr(_statespace, 'kernel_codes', lambda m_, n_, cap: codes)
-      report = verify_cycle_subgroup(m, n)
-    want = old_subgroup_witness(codes, mat, m, n)
-    assert report.cases[0].witness == want
-    assert report.verdict == ('pass' if want is None else 'fail')
-
-  def test_sum_escape_names_the_smallest_pair(self):
-    # {0, (0,1), (1,0)} in Z_3^2: (0,1) + (0,1) = (0,2) is outside.
-    codes = np.array([0, 1, 3])
-    with pytest.MonkeyPatch.context() as patch:
-      patch.setattr(_statespace, 'kernel_codes', lambda m, n, cap: codes)
+      patch.setattr(ducci.verify, '_row', lambda sys, r: np.array(
+        [int(r == 4), 0]))
       report = verify_cycle_subgroup(3, 2)
     assert report.counterexample == {'m': 3, 'n': 2,
-                                     'violation': 'sum_escapes',
-                                     'u': [0, 1], 'v': [0, 1]}
+                                     'violation': 'image_still_shrinking',
+                                     'row': 4, 'orders': [9, 1]}
+
+  @pytest.mark.parametrize('row,count', [([1, 0, 0, 0], 1),
+                                         ([0, 0, 0, 0], 81)])
+  def test_predecessor_witness_is_the_zero_state(self, row, count):
+    # With row 1 faked, D would be a bijection or zero: the zero state
+    # would have 1 or 3^4 predecessors, not 3.
+    with pytest.MonkeyPatch.context() as patch:
+      patch.setattr(ducci.verify, '_row', lambda sys, r: np.array(row))
+      report = verify_predecessor_count(3, 4)
+    assert report.counterexample == {'m': 3, 'n': 4, 'state': [0, 0, 0, 0],
+                                     'count': count}
 
   def test_trivial_kernel_witness_is_the_flipped_row(self):
     # A nonzero row r is (1+x)^r; flipped, it is D^r(1, 0, 0, 0).
@@ -491,24 +505,6 @@ class TestFailurePaths:
       report = verify_length_lower_bound(range(1, 2), range(2, 3))
     assert report.counterexample == {'k': 1, 'l': 2, 'steps': 2,
                                      'iterate': 'zero'}
-
-  @settings(max_examples=60, deadline=None)
-  @given(st.sampled_from([(2, 2), (3, 2), (2, 4), (4, 2), (3, 4), (6, 2)]),
-         st.integers(0, 10 ** 6), st.integers(0, 10 ** 6), st.booleans())
-  def test_predecessor_witness_matches_per_state_loop(self, mn, a, b, swap):
-    m, n = mn
-    succ = _statespace.successor_array(m, n)
-    a, b = a % succ.size, b % succ.size
-    if swap:     # in-degrees stay 0 or m, families break
-      succ[[a, b]] = succ[[b, a]]
-    else:        # one state changes target: in-degrees break
-      succ[a] = succ[b]
-    with pytest.MonkeyPatch.context() as patch:
-      patch.setattr(_statespace, 'successor_array', lambda m_, n_, cap: succ)
-      report = verify_predecessor_count(m, n)
-    want = old_predecessor_witness(succ, m, n)
-    assert report.cases[0].witness == want
-    assert report.verdict == ('pass' if want is None else 'fail')
 
   @settings(max_examples=40, deadline=None)
   @given(st.lists(st.lists(st.integers(0, 3), min_size=4, max_size=4),
@@ -593,11 +589,11 @@ class TestKernelCertificate:
       assert (verdicts[k, l] == 'pass') == (codes == [0]), (k, l)
 
   def test_check_never_enumerates(self, monkeypatch):
-    def refuse(*args):
+    def refuse(*args, **kwargs):
       raise AssertionError('a certificate check enumerated a state space')
 
-    monkeypatch.setattr(_statespace, 'kernel_codes', refuse)
-    monkeypatch.setattr(_statespace, 'successor_array', refuse)
+    for name in ('kernel_codes', 'successor_array', 'cycle_mask'):
+      monkeypatch.setattr(_statespace, name, refuse)
     report = verify_trivial_kernel()
     assert report.verdict == 'pass'
     assert all(c.verdict == 'pass' for c in report.cases)
@@ -607,6 +603,11 @@ class TestKernelCertificate:
     assert [c.verdict for c in report.cases] == ['pass'] * 30
     modes = [c.observed['mode'] for c in report.cases]
     assert (modes.count('exhaustive'), modes.count('sampled')) == (13, 17)
+    # All eleven default checks decide every case; only preds skips odd n.
+    reports = run_checks()
+    assert exit_code(reports) == 0
+    assert {c.reason for r in reports for c in r.cases
+            if c.verdict != 'pass'} == {'hypothesis: n must be even'}
 
   def test_rows_past_the_cell_cap_are_cap_skips(self):
     # A row of Z_{2^l}^{2^k} multiplies 2^k by 2^k cells: k = 12 fits.
@@ -673,3 +674,69 @@ def test_congruence_checks_read_one_row_at_their_own_modulus(monkeypatch):
   assert asked == [(2, 4, 0), (2, 4, 2), (4, 4, 4),    # sum1, l = 0..2
                    (8, 4, 4), (16, 4, 6),              # sum2, l = 3..4
                    (4, 4, 4), (8, 4, 6)]               # pivot, l = 2..3
+
+
+# --- subgroup and preds from image orders ----------------------------------
+#
+# |D^r(Z_m^n)| is the span of the n rotations of row r, found by
+# elimination; breadth-first search over the span (span_oracle) and the
+# enumerated kernel and successor array are the oracles.
+
+@st.composite
+def row_sets(draw):
+  '''(m, 1-4 rows) over a composite modulus, in at most 40000 states.'''
+  m = draw(st.sampled_from([4, 6, 8, 9, 12, 16, 18, 27, 30, 32]))
+  n = draw(st.sampled_from([n for n in range(1, 16) if m ** n <= 40000]))
+  entry = st.integers(0, m - 1)
+  rows = draw(st.lists(st.lists(entry, min_size=n, max_size=n),
+                       min_size=1, max_size=4))
+  return m, rows
+
+
+# The 73 systems of at most 2^16 states with m <= 12.
+SMALL_SYSTEMS = [(m, n) for m in range(2, 13) for n in range(1, 17)
+                 if m ** n <= 1 << 16]
+
+
+class TestImageOrders:
+  @settings(max_examples=300, deadline=None)
+  @given(row_sets())
+  def test_span_order_matches_search(self, case):
+    # Rotations of one row rarely need the Howell step; random rows over
+    # composite moduli do.
+    m, rows = case
+    codes = encode_rows(np.array(rows), m)
+    assert ducci.verify._span_order(rows, m) == len(
+      span_oracle(codes, m, len(rows[0])))
+
+  @pytest.mark.parametrize('m,n', SMALL_SYSTEMS)
+  def test_certificates_match_enumeration(self, m, n):
+    succ = _statespace.successor_array(m, n)
+    targets = np.unique(succ).size
+    assert ducci.verify._image_order(make_system(m, n), 1) == targets
+    assert verify_cycle_subgroup(m, n).cases[0].observed == {
+      'order': _statespace.kernel_codes(m, n).size}
+    [case] = verify_predecessor_count(m, n).cases
+    if n % 2 == 0:
+      assert set(np.bincount(succ).tolist()) <= {0, m}
+      assert case.observed == {'states': m ** n, 'with_preds': targets}
+    else:
+      assert case.reason == 'hypothesis: n must be even'
+
+  def test_zero_state_predecessors_are_the_translation_family(self):
+    for m, n in [(m, n) for m, n in SMALL_SYSTEMS if n % 2 == 0]:
+      alt = [1 if i % 2 == 0 else m - 1 for i in range(n)]
+      family = sorted(tuple(z * a % m for a in alt) for z in range(m))
+      assert predecessors(make_system(m, n), (0,) * n) == family, (m, n)
+
+  @pytest.mark.parametrize('m,n,order', [
+    (2 ** 70, 4, 1),                  # only 0 cycles in Z_{2^l}^{2^k}
+    (10 ** 19 + 7, 3, (10 ** 19 + 7) ** 3),   # odd m and n: D is onto
+    (3 << 64, 2, 3),                  # D^r(a, b) = 2^(r-1) (a+b) (1, 1)
+  ])
+  def test_moduli_past_int64(self, m, n, order):
+    # Rows past the int64 bound are eliminated as Python ints.
+    assert verify_cycle_subgroup(m, n).cases[0].observed == {'order': order}
+    if n % 2 == 0:
+      assert verify_predecessor_count(m, n).cases[0].observed == {
+        'states': m ** n, 'with_preds': m ** (n - 1)}

@@ -4,7 +4,7 @@ A state's code is its big-endian base-m digits (entry 1 is the most
 significant), so ascending codes are lexicographic order of the tuples.
 Whole-space work is numpy passes over the successor array, whose entry
 c codes the pair-sum image of state c; tuples are made only at the API
-edge.  Internal plumbing for the orbit, graph and verification modules.
+edge.  Internal plumbing for the orbit, graph and command-line modules.
 '''
 
 from __future__ import annotations
@@ -15,13 +15,6 @@ import numpy as np
 
 from .errors import CapExceededError
 from .limits import ENUM_NODE_CAP
-
-
-def check_cap(required: int, cap: int, what: str) -> None:
-  if required > cap:
-    raise CapExceededError(
-      f'{what} needs {required} states, cap is {cap}',
-      required=required, cap=cap)
 
 
 def encode(u, m: int) -> int:
@@ -52,24 +45,16 @@ def texts(codes: np.ndarray, m: int, n: int, open_: str,
 
 def successor_array(m: int, n: int, cap: int = ENUM_NODE_CAP) -> np.ndarray:
   '''Code of the pair-sum image for every state code, as int64.'''
-  check_cap(m ** n, cap, f'enumerating Z_{m}^{n}')
+  if m ** n > cap:
+    raise CapExceededError(
+      f'enumerating Z_{m}^{n} needs {m ** n} states, cap is {cap}',
+      required=m ** n, cap=cap)
   entry = [np.arange(m).reshape((1,) * i + (m,) + (1,) * (n - 1 - i))
            for i in range(n)]
   succ = np.zeros((m,) * n, dtype=np.int64)
   for i in range(n):
     succ += (entry[i] + entry[(i + 1) % n]) % m * m ** (n - 1 - i)
   return succ.reshape(-1)
-
-
-def batch_step(states: np.ndarray, m: int) -> np.ndarray:
-  '''Pair-sum map applied to every row of an (N, n) state matrix.'''
-  return (states + np.roll(states, -1, axis=1)) % m
-
-
-def batch_iter(states: np.ndarray, m: int, r: int) -> np.ndarray:
-  for _ in range(r):
-    states = batch_step(states, m)
-  return states
 
 
 def cycle_mask(succ: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

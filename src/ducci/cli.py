@@ -351,9 +351,10 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
   sub.add_argument('--j-max', type=int)
   sub.add_argument('--n-max', type=int)
   sub.add_argument('--samples', type=int, default=100,
-                   help='tuples per randomized case (default 100)')
+                   help='recorded in bound\'s "sampled" cases, which are '
+                   'proved for every state (default 100)')
   sub.add_argument('--seed', type=int, default=0,
-                   help='sample seed (default 0)')
+                   help='recorded only; no check draws (default 0)')
   sub.add_argument('--m', type=int, help='restrict system checks (with --n)')
   sub.add_argument('--n', type=int, help='restrict system checks (with --m)')
   sub.add_argument('--max-states', type=int,

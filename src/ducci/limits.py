@@ -12,6 +12,8 @@ ENUM_NODE_CAP = 1 << 20
 
 # Most cells a coefficient table ((r + 1) * n), the products of one row's
 # convolutions (min(r + 1, n) * n), a binomial row (N + 1), an odd-residue
-# table or a stored orbit ((len + per) * n) may span.  It also bounds the
-# elimination behind verify's subgroup and preds (n^3, so n <= 256).
+# table, a stored orbit ((len + per) * n) or a predecessor list (m * n) may
+# span.  It also bounds the elimination behind verify's subgroup and preds:
+# n^3 cells, each weighing 64 once it is a Python int ((m-1)^2 >= 2^62), so
+# n <= 256, or n <= 64 for such moduli.
 COEFF_CELL_CAP = 1 << 24

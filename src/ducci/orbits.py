@@ -240,21 +240,31 @@ def vanishes(sys: DucciSystem, u: Sequence[int], *,
 def predecessors(sys: DucciSystem, u: Sequence[int]) -> list[ResidueTuple]:
   '''All v with one pair-sum step v -> u, in lexicographic order.
 
-  Solving y_i + y_{i+1} = x_i: the first entry determines the rest, so
-  each candidate first entry is propagated and kept iff the wrap-around
-  constraint y_n + y_1 = x_n holds.  For even n the count is always 0
-  or exactly m; for odd n it is 0, 1 or 2 depending on gcd(2, m).
+  Solving y_i + y_{i+1} = x_i from y_1 = 0 gives c, and every solution
+  is y_i = c_i + (-1)^(i-1) y_1 for which the wrap-around y_n + y_1 = x_n
+  holds; ascending y_1 is lexicographic order.  With d = x_n - c_n mod m,
+  even n needs d = 0, and then every y_1 works: 0 or exactly m
+  predecessors, a list refused past `COEFF_CELL_CAP` cells (m * n) before
+  it is built.  Odd n needs 2 y_1 = d mod m: one solution for odd m, and
+  0 or 2 for even m.
   '''
   x = validate_tuple(sys, u)
   m, n = sys.m, sys.n
-  found = []
-  for first in range(m):
-    y = [first]
-    for i in range(n - 1):
-      y.append((x[i] - y[i]) % m)
-    if (y[-1] + y[0]) % m == x[-1]:
-      found.append(tuple(y))
-  return found
+  c = [0]
+  for i in range(n - 1):
+    c.append((x[i] - c[i]) % m)
+  d = (x[-1] - c[-1]) % m
+  if n % 2 == 0:
+    if d:
+      return []
+    _check_cells(m * n, 'predecessor list')
+    firsts = range(m)
+  elif m % 2:
+    firsts = [d * (m + 1) // 2 % m]
+  else:
+    firsts = [] if d % 2 else [d // 2, d // 2 + m // 2]
+  return [tuple((ci - y1 if i % 2 else ci + y1) % m for i, ci in enumerate(c))
+          for y1 in firsts]
 
 
 def kernel_set(sys: DucciSystem, *,

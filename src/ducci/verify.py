@@ -39,29 +39,27 @@ reaches the checks through `_CHECKS`, one row per CLI name with that
 check's default ranges.  Adding a check means one case function and
 one row.
 
-No check enumerates a state space.  The length formula and its lower
-bound read coefficient rows L - 1 and L of L = (l+1) * 2^(k-1).  The
-trivial kernel and, on spaces of at most 2^16 states, the vanishing
-bound are proved by row l * 2^k: the kernel is {0}, and every state
-vanishes, exactly when that row is zero.  Larger spaces of the
-vanishing bound step seeded samples.  The cycle subgroup and the
-predecessor count compare the orders of images D^r(Z_m^n), each the
-span of the n rotations of row r, found by elimination over Z_m.
-Congruence cases read one row each at their own modulus 2^l.
+No check enumerates a state space or draws a sample: every case is
+proved.  The length formula and its lower bound read coefficient rows
+L - 1 and L of L = (l+1) * 2^(k-1).  The trivial kernel and the
+vanishing bound are proved by row l * 2^k at every size: the kernel is
+{0}, and every state vanishes, exactly when that row is zero.  The
+cycle subgroup and the predecessor count compare the orders of images
+D^r(Z_m^n), each the span of the n rotations of row r, found by
+elimination over Z_m.  Congruence cases read one row each at their own
+modulus 2^l.
 '''
 
 from __future__ import annotations
 
 import json
 import math
-import random
 import time
 from dataclasses import dataclass, field
 from types import SimpleNamespace
 
 import numpy as np
 
-from . import _statespace
 from .coeffs import (_check_cells, _flip, _row, _times_1x, binom_mod_pow2,
                      binom_mod_pow2_range)
 from .core import DucciSystem, make_system
@@ -203,7 +201,7 @@ def verify_length_lower_bound(k_range=range(1, 6),
   return _kl_sweep('length_lower_bound', k_range, l_range, case)
 
 
-# verify_vanishing_bound decides every state of spaces up to this size.
+# verify_vanishing_bound labels cases up to this size "exhaustive".
 _EXHAUSTIVE_STATES = 1 << 16
 
 
@@ -211,17 +209,18 @@ def verify_vanishing_bound(k_range=range(1, 6), l_range=range(1, 7), *,
                            samples: int = 100, seed: int = 0) -> CheckReport:
   '''After l * 2^k steps every state of Z_{2^l}^{2^k} is zero.
 
-  "exhaustive" when the space has at most 2^16 states: every state,
-  decided by row l * 2^k.  D^r is multiplication by row r, so all
-  states vanish exactly when that row is zero; else D^r(0, ..., 0, 1)
-  is the row reversed, and code 1 is the first state left nonzero.
-  "sampled" otherwise: seeded samples stepped together.  Also asserts
-  the formula value never exceeds this bound.  Raises `ParameterError`
-  when `samples` < 1.
+  Every case is proved for every state by row l * 2^k.  D^r is
+  multiplication by row r, so all states vanish exactly when that row
+  is zero; else D^r(0, ..., 0, 1) is the row reversed, and code 1 is the
+  first state left nonzero, the witness.  A pass reports mode
+  "exhaustive" with the state count up to 2^16 states, and mode
+  "sampled" with `samples` above: there "sampled" is only a format
+  label, since no state is drawn and `seed` is only recorded.  Also
+  asserts the formula value never exceeds this bound.  Raises
+  `ParameterError` when `samples` < 1.
   '''
   if samples < 1:
     raise ParameterError(f'samples must be >= 1, got {samples}')
-  rng = random.Random(seed)
 
   def case(k, l):
     if k < 1 or l < 1:
@@ -231,19 +230,12 @@ def verify_vanishing_bound(k_range=range(1, 6), l_range=range(1, 7), *,
     formula = (l + 1) * 2 ** (k - 1)
     if formula > bound:
       return 'fail', {'formula': formula, 'bound': bound}
+    if _row(sys, bound).any():
+      return 'fail', {'state': [0] * (sys.n - 1) + [1], 'bound': bound}
     if sys.state_count <= _EXHAUSTIVE_STATES:
-      bad = [[0] * (sys.n - 1) + [1]] if _row(sys, bound).any() else []
-      observed = {'bound': bound, 'states': sys.state_count,
-                  'mode': 'exhaustive'}
-    else:
-      draws = [rng.randrange(sys.m) for _ in range(samples * sys.n)]
-      states = np.array(draws, dtype=np.int64).reshape(samples, sys.n)
-      final = _statespace.batch_iter(states, sys.m, bound)
-      bad = states[final.any(axis=1)][:1].tolist()
-      observed = {'bound': bound, 'samples': samples, 'mode': 'sampled'}
-    if bad:
-      return 'fail', {'state': bad[0], 'bound': bound}
-    return 'pass', observed
+      return 'pass', {'bound': bound, 'states': sys.state_count,
+                      'mode': 'exhaustive'}
+    return 'pass', {'bound': bound, 'samples': samples, 'mode': 'sampled'}
   return _kl_sweep('vanishing_bound', k_range, l_range, case,
                    samples=samples, seed=seed)
 
@@ -281,6 +273,12 @@ def verify_trivial_kernel(k_range=range(1, 6),
   return _kl_sweep('trivial_kernel', k_range, l_range, case)
 
 
+def _wide_cells(m: int) -> bool:
+  '''Whether `_span_order` holds cells over Z_m as Python ints: a row
+  step subtracts q * cell, both below m, so int64 serves while that fits.'''
+  return (m - 1) ** 2 >= 1 << 62
+
+
 def _span_order(rows, m: int) -> int:
   '''Size of the Z_m-span of `rows`, equal-length lists of residues,
   by elimination column by column.  Euclid row steps leave one row with
@@ -288,8 +286,7 @@ def _span_order(rows, m: int) -> int:
   multiples of c.  That many times the pivot row is zero in the column
   and joins the rows for the later columns (Howell's step): without it
   the span loses those multiples of the pivot.'''
-  # A row step subtracts q * cell, both below m: int64 while that fits.
-  a = np.array(rows, np.int64 if (m - 1) ** 2 < 1 << 62 else object) % m
+  a = np.array(rows, object if _wide_cells(m) else np.int64) % m
   order = 1
   for j in range(a.shape[1]):
     a = a[a[:, j:].any(axis=1)]
@@ -307,8 +304,9 @@ def _span_order(rows, m: int) -> int:
 
 def _image_order(sys: DucciSystem, r: int) -> int:
   '''|D^r(Z_m^n)|.  D^r is the circulant of row r, so its image is the
-  span of the row's n rotations; refused past n^3 cells of elimination.'''
-  _check_cells(sys.n ** 3, 'elimination')
+  span of the row's n rotations.  Elimination touches n^3 cells, a
+  Python-int cell weighing as 64, and is refused past COEFF_CELL_CAP.'''
+  _check_cells(sys.n ** 3 * (64 if _wide_cells(sys.m) else 1), 'elimination')
   row = _row(sys, r).tolist()
   return _span_order([row[i:] + row[:i] for i in range(sys.n)], sys.m)
 

@@ -14,6 +14,7 @@ import ducci
 from ducci import (build_graph, format_tuple, kernel_set, make_system,
                    orbit_summary, predecessors, to_dot, to_edge_csv)
 from ducci.cli import main
+from ducci.limits import COEFF_CELL_CAP
 from ducci.verify import DEFAULT_SYSTEMS
 
 # The directory that holds the imported `ducci` package (src/ in a checkout).
@@ -175,6 +176,13 @@ class TestPredsAndKernel:
     _, out, _ = run_cli(capsys, 'preds', '--m', '4', '--n', '2',
                         '--tuple', '1,3')
     assert json.loads(out) == []
+
+  def test_preds_past_the_cap_exit_three(self, capsys):
+    code, out, err = run_cli(capsys, 'preds', '--m', '1000000000000',
+                             '--n', '2', '--tuple', '0,0')
+    assert (code, out) == (3, '')
+    assert err == ('error: predecessor list of 2000000000000 cells exceeds '
+                   f'the {COEFF_CELL_CAP}-cell cap\n')
 
   def test_kernel_lists_cycle_states(self, capsys):
     code, out, _ = run_cli(capsys, 'kernel', '--m', '3', '--n', '2')

@@ -489,6 +489,47 @@ class TestPredecessors:
     with pytest.raises(ParameterError):
       predecessors(make_system(4, 3), (1, 2))
 
+  @settings(max_examples=200, deadline=None)
+  @given(st.integers(2, 60).flatmap(lambda m: st.tuples(
+    st.just(m), st.lists(st.integers(0, m - 1), min_size=1, max_size=8))))
+  def test_closed_form_matches_candidate_loop(self, case):
+    # The former search: propagate every first entry, keep those that
+    # close the wrap-around.
+    m, u = case
+    want = []
+    for first in range(m):
+      y = [first]
+      for i in range(len(u) - 1):
+        y.append((u[i] - y[i]) % m)
+      if (y[-1] + y[0]) % m == u[-1]:
+        want.append(tuple(y))
+    assert predecessors(make_system(m, len(u)), tuple(u)) == want
+
+  @pytest.mark.parametrize('m,n', [(2 ** 64, 5), (10 ** 19 + 7, 7),
+                                   (2 ** 70, 3), (2 ** 64 - 1, 9),
+                                   (10 ** 6, 31)])
+  def test_odd_length_over_big_moduli(self, m, n):
+    # Odd n: D is onto for odd m; for even m an image has two
+    # predecessors, and a state of odd entry sum none.
+    sys = make_system(m, n)
+    v = tuple((i * 0x9E3779B97F4A7C15 + 7) % m for i in range(n))
+    found = predecessors(sys, _step(v, m))
+    assert v in found and found == sorted(found)
+    assert len(found) == (1 if m % 2 else 2)
+    assert all(_step(w, m) == _step(v, m) for w in found)
+    if m % 2 == 0:
+      assert predecessors(sys, (1,) + (0,) * (n - 1)) == []
+
+  def test_even_length_refuses_a_whole_family_past_the_cap(self):
+    # Z_{10^12}^2: a state of nonzero entry difference has no
+    # predecessor; 0 has 10^12 of them, refused before any is built.
+    sys = make_system(10 ** 12, 2)
+    assert predecessors(sys, (0, 1)) == []
+    with pytest.raises(CapExceededError) as info:
+      predecessors(sys, (0, 0))
+    assert (info.value.required, info.value.cap) == (2 * 10 ** 12,
+                                                     COEFF_CELL_CAP)
+
 
 class TestKernel:
   def test_diagonal_kernel(self):

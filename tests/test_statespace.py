@@ -4,7 +4,8 @@ The numpy passes in `_statespace` (pointer doubling for cycle states,
 cycle labels and periods, forward passes for pre-periods) are checked
 against orbit walks of every state, against the pure-Python peel and
 breadth-first search they replaced, and against a plain union-find;
-the vanishing certificate row against powers of the successor array;
+the vanishing certificate row against powers of the successor array
+and, past 2^16 states, against seeded samples stepped in a batch;
 the export text is pinned byte for byte.
 '''
 
@@ -22,7 +23,7 @@ from ducci import (_statespace, build_graph, coeffs, component_of,
                    predecessors, to_dot, weak_components)
 from ducci.cli import main
 from ducci.core import _step
-from ducci.verify import DEFAULT_SYSTEMS
+from ducci.verify import DEFAULT_SYSTEMS, verify_vanishing_bound
 
 # The 36 desk systems: every Z_m^n with 2 <= m <= 6, n <= 8, m^n <= 2^16.
 DESK_SYSTEMS = list(DEFAULT_SYSTEMS)
@@ -122,6 +123,11 @@ def successor_power(succ, r):
   return acc
 
 
+def batch_step(states, m):
+  '''The pair-sum map applied to every row of an (N, n) state matrix.'''
+  return (states + np.roll(states, -1, axis=1)) % m
+
+
 def _max_modulus(n, limit=4096):
   m = 2
   while (m + 1) ** n <= limit:
@@ -213,9 +219,11 @@ def test_successor_array_matches_stepping():
 # --- verification passes against their slow forms ---------------------------
 
 EVEN_DESK = [(m, n) for m, n in DESK_SYSTEMS if n % 2 == 0]
-# (k, l) whose Z_{2^l}^{2^k} verify_vanishing_bound covers exhaustively.
+# (k, l) of verify_vanishing_bound's default cases, split at 2^16 states.
 EXHAUSTIVE_KL = [(k, l) for k in range(1, 6) for l in range(1, 7)
                  if l * 2 ** k <= 16]
+SAMPLED_KL = [(k, l) for k in range(1, 6) for l in range(1, 7)
+              if l * 2 ** k > 16]
 
 
 @pytest.mark.parametrize('m,n', EVEN_DESK)
@@ -237,7 +245,20 @@ def test_successor_power_matches_batch_iter(k, l):
   weights = m ** np.arange(n - 1, -1, -1)
   for r in range(l * 2 ** k + 1):
     assert np.array_equal(successor_power(succ, r), states @ weights), r
-    states = _statespace.batch_step(states, m)
+    states = batch_step(states, m)
+
+
+@pytest.mark.parametrize('k,l', SAMPLED_KL)
+def test_seeded_samples_vanish_by_stepping(k, l):
+  # The certificate row proves every state of these spaces vanishes;
+  # 100 seeded states stepped l * 2^k times are the independent check.
+  m, n, bound = 2 ** l, 2 ** k, l * 2 ** k
+  states = np.random.default_rng([k, l]).integers(0, m, size=(100, n))
+  for _ in range(bound):
+    states = batch_step(states, m)
+  assert not states.any()
+  [case] = verify_vanishing_bound(range(k, k + 1), range(l, l + 1)).cases
+  assert case.observed == {'bound': bound, 'samples': 100, 'mode': 'sampled'}
 
 
 @pytest.mark.parametrize('m,n', DESK_SYSTEMS)

@@ -133,6 +133,15 @@ class TestSkips:
       f'cap: elimination of {257 ** 3} cells exceeds the '
       f'{COEFF_CELL_CAP}-cell cap')
 
+  def test_python_int_cells_weigh_sixty_four(self):
+    # Once (m-1)^2 >= 2^62 each cell is a Python int and counts as 64
+    # cells, so such moduli are decided up to n = 64.
+    report = verify_cycle_subgroup(10 ** 19 + 7, 128)
+    assert report.cases[0].reason == (
+      f'cap: elimination of {64 * 128 ** 3} cells exceeds the '
+      f'{COEFF_CELL_CAP}-cell cap')
+    assert exit_code([report]) == 3
+
 
 class TestRunner:
   def test_runs_everything_by_default(self):
@@ -425,8 +434,8 @@ class TestClosure:
 # --- failure paths ---------------------------------------------------------
 #
 # The pair-sum map never breaks these claims, so each test feeds a broken
-# coefficient row or step into the check, and pins the verdict and
-# witness by hand or against a slow loop.
+# coefficient row into the check, and pins the verdict and witness by
+# hand or against a slow loop.
 
 def old_vanishing_cases(k_range, l_range, samples, seed, exhaustive_limit,
                         walk):
@@ -448,15 +457,6 @@ def old_vanishing_cases(k_range, l_range, samples, seed, exhaustive_limit,
       cases.append(None if bad_state is None
                    else {'state': list(bad_state), 'bound': bound})
   return cases
-
-
-def iterate(step):
-  '''The walk that applies `step`, a map on tuples, r times.'''
-  def walk(u, m, r):
-    for _ in range(r):
-      u = step(u, m)
-    return u
-  return walk
 
 
 def row_map(row, u, m):
@@ -533,33 +533,36 @@ class TestFailurePaths:
                for c in report.cases)
 
   @settings(max_examples=40, deadline=None)
-  @given(st.integers(0, 2 ** 32), st.integers(1, 20))
-  def test_sampled_vanishing_witness_matches_sample_loop(self, seed, samples):
-    # A broken step that keeps states whose first two entries are equal
-    # and odd, and zeroes the rest.
-    def keeps(first, second):
-      return (first == second) & (first % 2 == 1)
-
-    def batch_step(states, m):
-      return states * keeps(states[:, :1], states[:, 1:2])
-
-    def step(u, m):
-      return u if keeps(u[0], u[1]) else (0,) * len(u)
-
+  @given(st.lists(st.lists(st.integers(0, 7), min_size=4, max_size=4),
+                  min_size=6, max_size=6),
+         st.integers(0, 2 ** 32), st.integers(1, 20))
+  def test_sampled_vanishing_witness_matches_sample_loop(self, draws, seed,
+                                                         samples):
+    # Every case is sampled-size and its certificate row a drawn one.  The
+    # former sample loop, stepping the linear map that row defines, finds
+    # a failing sample only where the row is nonzero; there the check
+    # fails with code 1, (0, ..., 0, 1), which that map leaves nonzero.
+    systems = [(2 ** l, 2 ** k) for k in range(1, 3) for l in range(1, 4)]
+    rows = {(m, n): np.array(draw[:n]) % m
+            for (m, n), draw in zip(systems, draws)}
     with pytest.MonkeyPatch.context() as patch:
-      patch.setattr(_statespace, 'batch_step', batch_step)
+      patch.setattr(ducci.verify, '_row', lambda sys, r: rows[sys.m, sys.n])
       patch.setattr(ducci.verify, '_EXHAUSTIVE_STATES', 0)
       report = verify_vanishing_bound(range(1, 3), range(1, 4),
                                       samples=samples, seed=seed)
-    want = old_vanishing_cases(range(1, 3), range(1, 4), samples, seed, 0,
-                               iterate(step))
-    got = [c.witness for c in report.cases]
-    # All samples of a case are drawn even after a failing one, so the
-    # seeded stream agrees with the former loop up to the first fail.
-    first_fail = next((i for i, w in enumerate(want) if w), len(want))
-    assert got[:first_fail + 1] == want[:first_fail + 1]
-    assert all(c.observed['mode'] == 'sampled'
-               for c in report.cases[:first_fail])
+    sample_loop = old_vanishing_cases(
+      range(1, 3), range(1, 4), samples, seed, 0,
+      lambda u, m, bound: row_map(rows[m, len(u)], u, m))
+    for case, (m, n), sample_witness in zip(report.cases, systems,
+                                            sample_loop):
+      bound, code_one = case.params['l'] * n, [0] * (n - 1) + [1]
+      if rows[m, n].any():
+        assert case.witness == {'state': code_one, 'bound': bound}
+        assert any(row_map(rows[m, n], code_one, m))
+      else:
+        assert sample_witness is None
+        assert case.observed == {'bound': bound, 'samples': samples,
+                                 'mode': 'sampled'}
 
 
 # --- the kernel certificate against enumeration ---------------------------

@@ -20,9 +20,11 @@ without parentheses and are reduced mod m (with a warning on stderr
 when reduction changed an entry).
 
 Exit codes: 0 success (or all checks pass / hypothesis-skip), 1 check
-failure, 2 usage error, 3 cap exceeded.  Identical invocations give
-byte-identical stdout for the machine formats (json, csv, dot); the
-verify text summary includes wall-clock timings and is exempt.
+failure, 2 usage error, 3 cap exceeded.  Handlers raise usage errors as
+`ParameterError`, and `main` reports each with its subcommand's usage
+line.  Identical invocations give byte-identical stdout for the machine
+formats (json, csv, dot); the verify text summary includes wall-clock
+timings and is exempt.
 '''
 
 from __future__ import annotations
@@ -49,42 +51,28 @@ __all__ = ['main', 'build_parser']
 _JSON_SEP = (',', ':')
 
 
-def _add_system_flags(sub: argparse.ArgumentParser) -> None:
-  group = sub.add_argument_group('system')
-  group.add_argument('--m', type=int, help='modulus (with --n)')
-  group.add_argument('--n', type=int, help='tuple length (with --m)')
-  group.add_argument('--k', type=int, help='tuple length exponent, n = 2^k')
-  group.add_argument('--l', type=int, help='modulus exponent, m = 2^l')
-
-
-def _add_output_flag(sub: argparse.ArgumentParser) -> None:
-  sub.add_argument('-o', '--output', metavar='PATH',
-                   help='write to PATH instead of standard output')
-
-
-def _system_from_args(sub: argparse.ArgumentParser,
-                      args: argparse.Namespace) -> DucciSystem:
+def _system_from_args(args: argparse.Namespace) -> DucciSystem:
   direct = args.m is not None or args.n is not None
   exponent = args.k is not None or args.l is not None
   if direct == exponent:
-    sub.error('name the system with either --m/--n or --k/--l')
+    raise ParameterError('name the system with either --m/--n or --k/--l')
   if direct:
     if args.m is None or args.n is None:
-      sub.error('--m and --n go together')
+      raise ParameterError('--m and --n go together')
     return make_system(args.m, args.n)
   if args.k is None or args.l is None:
-    sub.error('--k and --l go together')
+    raise ParameterError('--k and --l go together')
   if args.k < 0 or args.l < 1:
-    sub.error('need k >= 0 and l >= 1')
+    raise ParameterError('need k >= 0 and l >= 1')
   return make_system(2 ** args.l, 2 ** args.k)
 
 
-def _tuple_from_args(sub: argparse.ArgumentParser, sys_: DucciSystem,
-                     text: str) -> ResidueTuple:
+def _tuple_from_args(sys_: DucciSystem, text: str) -> ResidueTuple:
   entries = parse_tuple(text)
   reduced = reduce_tuple(sys_, entries)
   if len(entries) != sys_.n:
-    sub.error(f'tuple has {len(entries)} entries, system needs {sys_.n}')
+    raise ParameterError(
+      f'tuple has {len(entries)} entries, system needs {sys_.n}')
   if tuple(entries) != reduced:
     print(f'warning: entries reduced mod {sys_.m}: '
           f'{format_tuple(entries)} -> {format_tuple(reduced)}',
@@ -111,17 +99,17 @@ def _answer(args: argparse.Namespace, obj, text: str) -> int:
 
 # --- subcommand bodies --------------------------------------------------
 
-def _cmd_step(sub, args) -> int:
-  sys_ = _system_from_args(sub, args)
-  u = _tuple_from_args(sub, sys_, args.tuple)
+def _cmd_step(args) -> int:
+  sys_ = _system_from_args(args)
+  u = _tuple_from_args(sys_, args.tuple)
   if args.r < 0:
-    sub.error('--r must be >= 0')
+    raise ParameterError('--r must be >= 0')
   if args.shift < 0:
-    sub.error('--shift must be >= 0')
+    raise ParameterError('--shift must be >= 0')
   if args.scale is not None:
     u = scale(sys_, args.scale, u)
   if args.add is not None:
-    u = add(sys_, u, _tuple_from_args(sub, sys_, args.add))
+    u = add(sys_, u, _tuple_from_args(sys_, args.add))
   for _ in range(args.shift % sys_.n):
     u = shift(sys_, u)
   if args.via == 'coeffs':
@@ -131,9 +119,9 @@ def _cmd_step(sub, args) -> int:
   return _answer(args, list(result), format_tuple(result) + '\n')
 
 
-def _cmd_orbit(sub, args) -> int:
-  sys_ = _system_from_args(sub, args)
-  u = _tuple_from_args(sub, sys_, args.tuple)
+def _cmd_orbit(args) -> int:
+  sys_ = _system_from_args(args)
+  u = _tuple_from_args(sys_, args.tuple)
   if args.vanishes:
     flag = vanishes(sys_, u, max_states=args.max_states)
     _emit(('true' if flag else 'false') + '\n', args.output)
@@ -149,25 +137,25 @@ def _cmd_orbit(sub, args) -> int:
   return 0
 
 
-def _cmd_basic(sub, args) -> int:
-  sys_ = _system_from_args(sub, args)
+def _cmd_basic(args) -> int:
+  sys_ = _system_from_args(args)
   u = basic_tuple(sys_)
   length, per = basic_len_per(sys_, max_states=args.max_states)
   return _answer(args, {'tuple': format_tuple(u), 'len': length, 'per': per},
                  f'tuple {format_tuple(u)}\nlen {length}\nper {per}\n')
 
 
-def _cmd_preds(sub, args) -> int:
-  sys_ = _system_from_args(sub, args)
-  u = _tuple_from_args(sub, sys_, args.tuple)
+def _cmd_preds(args) -> int:
+  sys_ = _system_from_args(args)
+  u = _tuple_from_args(sys_, args.tuple)
   found = predecessors(sys_, u)
   return _answer(args, [list(v) for v in found],
                  ''.join(format_tuple(v) + '\n' for v in found))
 
 
-def _cmd_kernel(sub, args) -> int:
+def _cmd_kernel(args) -> int:
   # Member text is joined from digit-string tables, not made per tuple.
-  sys_ = _system_from_args(sub, args)
+  sys_ = _system_from_args(args)
   m, n = sys_.m, sys_.n
   codes = _statespace.kernel_codes(m, n, args.max_states)
   if args.format == 'json':
@@ -178,21 +166,22 @@ def _cmd_kernel(sub, args) -> int:
   return 0
 
 
-def _parse_int_list(sub, text: str, want: int, what: str) -> list[int]:
+def _parse_int_list(text: str, want: int, what: str) -> list[int]:
   parts = [p.strip() for p in text.split(',')]
   if len(parts) != want or not all(p.lstrip('-').isdigit() for p in parts):
-    sub.error(f'{what} needs {want} comma-separated integers, got {text!r}')
+    raise ParameterError(
+      f'{what} needs {want} comma-separated integers, got {text!r}')
   return [int(p) for p in parts]
 
 
-def _cmd_coeff(sub, args) -> int:
-  sys_ = _system_from_args(sub, args)
+def _cmd_coeff(args) -> int:
+  sys_ = _system_from_args(args)
   chosen = [x for x in (args.r_max, args.at, args.view) if x is not None]
   if len(chosen) != 1:
-    sub.error('pick exactly one of --r-max, --at, --view')
+    raise ParameterError('pick exactly one of --r-max, --at, --view')
   if args.r_max is not None:
     if args.r_max < 0:
-      sub.error('--r-max must be >= 0')
+      raise ParameterError('--r-max must be >= 0')
     table = coeff_table(sys_, args.r_max)
     if args.format == 'json':
       rows = {str(r): list(table.rows[r]) for r in range(args.r_max + 1)}
@@ -201,16 +190,16 @@ def _cmd_coeff(sub, args) -> int:
       _emit(table.to_csv(), args.output)
     return 0
   if args.at is not None:
-    r, s = _parse_int_list(sub, args.at, 2, '--at')
+    r, s = _parse_int_list(args.at, 2, '--at')
     if r < 0:
-      sub.error('row must be >= 0')
+      raise ParameterError('row must be >= 0')
     value = coeff_at(sys_, r, s)
     return _answer(args, {'r': r, 's': s, 'value': value}, f'{value}\n')
   kind, _, rest = args.view.partition(':')
   if kind not in ('f', 'g', 'h') or not rest:
-    sub.error("--view looks like 'f:gamma,delta', 'g:gamma,eps,delta', "
-              "or 'h:gamma,delta'")
-  params = _parse_int_list(sub, rest, 3 if kind == 'g' else 2, '--view')
+    raise ParameterError("--view looks like 'f:gamma,delta', "
+                         "'g:gamma,eps,delta', or 'h:gamma,delta'")
+  params = _parse_int_list(rest, 3 if kind == 'g' else 2, '--view')
   if kind == 'g':
     view = CoeffView(kind, params[0], params[2], eps=params[1])
   else:
@@ -219,19 +208,19 @@ def _cmd_coeff(sub, args) -> int:
   return _answer(args, {'view': args.view, 'value': value}, f'{value}\n')
 
 
-def _cmd_binom(sub, args) -> int:
+def _cmd_binom(args) -> int:
   if args.big < 0 or args.small < 0 or args.mod_exp < 1:
-    sub.error('need N >= 0, K >= 0, L >= 1')
+    raise ParameterError('need N >= 0, K >= 0, L >= 1')
   value = binom_mod_pow2(args.big, args.small, args.mod_exp)
   return _answer(args, {'n': args.big, 'k': args.small, 'l': args.mod_exp,
                         'value': value}, f'{value}\n')
 
 
-def _cmd_graph(sub, args) -> int:
-  sys_ = _system_from_args(sub, args)
+def _cmd_graph(args) -> int:
+  sys_ = _system_from_args(args)
   graph = build_graph(sys_, max_nodes=args.max_nodes)
   if args.component is not None:
-    graph = component_of(graph, _tuple_from_args(sub, sys_, args.component))
+    graph = component_of(graph, _tuple_from_args(sys_, args.component))
   if args.format == 'dot':
     _emit(to_dot(graph), args.output)
   elif args.format == 'csv':
@@ -244,15 +233,14 @@ def _cmd_graph(sub, args) -> int:
   return 0
 
 
-def _cmd_verify(sub, args) -> int:
+def _cmd_verify(args) -> int:
   systems = None
   if args.m is not None or args.n is not None:
     if args.m is None or args.n is None:
-      sub.error('--m and --n go together')
+      raise ParameterError('--m and --n go together')
     systems = [(args.m, args.n)]
-  names = None if args.check == 'all' else [args.check]
   reports = run_checks(
-    names, k_min=args.k_min, k_max=args.k_max, l_min=args.l_min,
+    [args.check], k_min=args.k_min, k_max=args.k_max, l_min=args.l_min,
     l_max=args.l_max, j_min=args.j_min, j_max=args.j_max, n_max=args.n_max,
     samples=args.samples, seed=args.seed, systems=systems)
   if args.format == 'text':
@@ -271,21 +259,29 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
   subs = parser.add_subparsers(dest='command', metavar='COMMAND')
   table: dict[str, argparse.ArgumentParser] = {}
 
-  def new_sub(name: str, help_: str, *, system: bool = True,
+  def new_sub(name: str, help_: str, run, *, system: bool = True,
               formats: tuple[str, ...] = ('json', 'text'),
-              default_format: str = 'json') -> argparse.ArgumentParser:
+              tuple_help: str | None = None) -> argparse.ArgumentParser:
+    # The first of `formats` is the default.
     sub = subs.add_parser(name, help=help_, description=help_)
+    sub.set_defaults(run=run)
     if system:
-      _add_system_flags(sub)
-    sub.add_argument('--format', choices=formats, default=default_format,
-                     help=f'output format (default {default_format})')
-    _add_output_flag(sub)
+      group = sub.add_argument_group('system')
+      group.add_argument('--m', type=int, help='modulus (with --n)')
+      group.add_argument('--n', type=int, help='tuple length (with --m)')
+      group.add_argument('--k', type=int, help='tuple length exponent, n = 2^k')
+      group.add_argument('--l', type=int, help='modulus exponent, m = 2^l')
+    sub.add_argument('--format', choices=formats, default=formats[0],
+                     help=f'output format (default {formats[0]})')
+    sub.add_argument('-o', '--output', metavar='PATH',
+                     help='write to PATH instead of standard output')
+    if tuple_help is not None:
+      sub.add_argument('-t', '--tuple', required=True, help=tuple_help)
     table[name] = sub
     return sub
 
-  sub = new_sub('step', 'apply the pair-sum map r times')
-  sub.add_argument('-t', '--tuple', required=True,
-                   help='starting tuple, e.g. "(3,1,3)" or 3,1,3')
+  sub = new_sub('step', 'apply the pair-sum map r times', _cmd_step,
+                tuple_help='starting tuple, e.g. "(3,1,3)" or 3,1,3')
   sub.add_argument('--r', type=int, default=1, help='step count (default 1)')
   sub.add_argument('--via', choices=('direct', 'coeffs'), default='direct',
                    help='direct iteration or the coefficient expansion')
@@ -296,26 +292,27 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
   sub.add_argument('--shift', type=int, default=0, metavar='COUNT',
                    help='then rotate left COUNT times')
 
-  sub = new_sub('orbit', 'pre-period, period, tail, and cycle of a tuple')
-  sub.add_argument('-t', '--tuple', required=True, help='starting tuple')
+  sub = new_sub('orbit', 'pre-period, period, tail, and cycle of a tuple',
+                _cmd_orbit, tuple_help='starting tuple')
   sub.add_argument('--vanishes', action='store_true',
                    help='print only whether the orbit ends at zero')
   sub.add_argument('--max-states', type=int, default=ORBIT_VISIT_CAP,
                    help='orbit visit cap')
 
-  sub = new_sub('basic', 'the tuple (0,...,0,1) and its length/period')
+  sub = new_sub('basic', 'the tuple (0,...,0,1) and its length/period',
+                _cmd_basic)
   sub.add_argument('--max-states', type=int, default=ORBIT_VISIT_CAP,
                    help='orbit visit cap')
 
-  sub = new_sub('preds', 'one-step predecessors of a tuple')
-  sub.add_argument('-t', '--tuple', required=True, help='target tuple')
+  new_sub('preds', 'one-step predecessors of a tuple', _cmd_preds,
+          tuple_help='target tuple')
 
-  sub = new_sub('kernel', 'all cycle states of the system')
+  sub = new_sub('kernel', 'all cycle states of the system', _cmd_kernel)
   sub.add_argument('--max-states', type=int, default=ENUM_NODE_CAP,
                    help='state enumeration cap')
 
   sub = new_sub('coeff', 'iteration-coefficient table, cell, or view',
-                formats=('csv', 'json', 'text'), default_format='csv')
+                _cmd_coeff, formats=('csv', 'json', 'text'))
   sub.add_argument('--r-max', type=int, metavar='R',
                    help='dump rows 0..R as CSV')
   sub.add_argument('--at', metavar='R,S', help='one cell, row and column')
@@ -324,22 +321,21 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
                         "'g:gamma,eps,delta', or 'h:gamma,delta'")
 
   sub = new_sub('binom', 'binomial coefficient modulo a power of two',
-                system=False)
+                _cmd_binom, system=False)
   sub.add_argument('big', type=int, metavar='N')
   sub.add_argument('small', type=int, metavar='K')
   sub.add_argument('mod_exp', type=int, metavar='L',
                    help='modulus exponent, result is mod 2^L')
 
   sub = new_sub('graph', 'transition graph as DOT, edge CSV, or summary',
-                formats=('dot', 'csv', 'json', 'text'), default_format='dot')
+                _cmd_graph, formats=('dot', 'csv', 'json', 'text'))
   sub.add_argument('--component', metavar='TUPLE',
                    help='restrict to the weak component of TUPLE')
   sub.add_argument('--max-nodes', type=int, default=ENUM_NODE_CAP,
                    help='node cap')
 
-  sub = new_sub('verify', 'run identity checks, print reports',
-                system=False, formats=('json', 'text'),
-                default_format='json')
+  sub = new_sub('verify', 'run identity checks, print reports', _cmd_verify,
+                system=False)
   sub.add_argument('check', nargs='?', default='all',
                    choices=CHECK_NAMES + ('all',),
                    help='which check to run (default all)')
@@ -363,24 +359,16 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
   return parser, table
 
 
-_DISPATCH = {
-  'step': _cmd_step, 'orbit': _cmd_orbit, 'basic': _cmd_basic,
-  'preds': _cmd_preds, 'kernel': _cmd_kernel, 'coeff': _cmd_coeff,
-  'binom': _cmd_binom, 'graph': _cmd_graph, 'verify': _cmd_verify,
-}
-
-
 def main(argv=None) -> int:
   parser, table = build_parser()
   try:
     args = parser.parse_args(argv)
     if args.command is None:
       parser.error('a COMMAND is required')
-    sub = table[args.command]
     try:
-      return _DISPATCH[args.command](sub, args)
+      return args.run(args)
     except ParameterError as exc:
-      sub.error(str(exc))
+      table[args.command].error(str(exc))
   except SystemExit as exc:
     return exc.code if isinstance(exc.code, int) else 2
   except CapExceededError as exc:

@@ -15,7 +15,7 @@ a(r, s) = C(r, s-1).
 In Z_m[x]/(x^n - 1) row r is (1+x)^r, and D^r(u) is (1+x)^r times
 sum_s u_s x^(1-s) read at x^0, x^-1, ...; either is O(log r) cyclic
 convolutions by square-and-multiply, and no call keeps anything.
-`coeff_table` builds rows 0..r_max by the recurrence.
+`coeff_table` builds rows 0..r_max by stepping row 0 on a sqrt grid.
 
 Also here: C(N, K) mod 2^l.  The power of two dividing it is the number
 of carries when adding K and N-K in base 2.  Its odd part comes from
@@ -26,6 +26,7 @@ a table of odd-residue prefix products mod 2^l (Granville's reduction).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate
@@ -87,8 +88,10 @@ def _times(sys: DucciSystem, a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _times_1x(sys: DucciSystem, v: np.ndarray, back=None) -> np.ndarray:
-  # (1 + x) * v: v plus v moved up one place (x^n = 1), one longer while
-  # v holds fewer than n.  Frequent callers pass back = arange(-1, n - 1).
+  # (1 + x) * v along the first axis: v plus v moved up one place
+  # (x^n = 1), one longer while v holds fewer than n.  Frequent callers
+  # pass back = arange(-1, n - 1).  The first axis, not the last, keeps
+  # the one-state step a plain index, which the orbit walks run per step.
   if len(v) < sys.n:
     v = np.concatenate((v, np.zeros(1, v.dtype)))
   return _mod(sys, v + v[np.arange(-1, len(v) - 1) if back is None else back])
@@ -103,6 +106,23 @@ def _power(sys: DucciSystem, r: int, v: Sequence[int]) -> np.ndarray:
     if bit == '1':
       out = _times_1x(sys, out)
   return _times(sys, out, np.array(v, dtype))
+
+
+def _rows(sys: DucciSystem, v: np.ndarray, count: int) -> np.ndarray:
+  # (1+x)^0..(1+x)^(count-1) times v as rows, on a grid of
+  # B = ceil(sqrt(count)) columns: each checkpoint (1+x)^(iB) v is one
+  # convolution past the one before, and B - 1 steps of (1+x) advance
+  # every checkpoint at once.
+  width = math.isqrt(count - 1) + 1
+  jump = _power(sys, width, [1])
+  grid = np.empty((-(-count // width), width, sys.n), v.dtype)
+  grid[0, 0] = v
+  for i in range(1, len(grid)):
+    grid[i, 0] = _times(sys, grid[i - 1, 0], jump)
+  back = np.arange(-1, sys.n - 1)
+  for j in range(1, width):
+    grid[:, j] = _times_1x(sys, grid[:, j - 1].T, back).T
+  return grid.reshape(-1, sys.n)[:count]
 
 
 def _row(sys: DucciSystem, r: int) -> np.ndarray:
@@ -151,12 +171,8 @@ def coeff_table(sys: DucciSystem, r_max: int) -> CoeffTable:
   '''Rows 0..r_max of the coefficient table, residues mod m.'''
   _check_index(r_max)
   _check_cells((r_max + 1) * sys.n)
-  m, n = sys.m, sys.n
-  rows = [(1 % m,) + (0,) * (n - 1)]
-  for _ in range(r_max):
-    prev = rows[-1]
-    rows.append(tuple((prev[s] + prev[s - 1]) % m for s in range(n)))
-  return CoeffTable(sys, r_max, tuple(rows))
+  rows = _rows(sys, _row(sys, 0), r_max + 1).tolist()
+  return CoeffTable(sys, r_max, tuple(map(tuple, rows)))
 
 
 def coeff_at(sys: DucciSystem, r: int, s: int) -> int:

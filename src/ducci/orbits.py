@@ -25,8 +25,8 @@ from typing import Sequence
 import numpy as np
 
 from . import _statespace
-from .coeffs import (_check_cells, _dtype, _flip, _mod, _power, _times,
-                     _times_1x)
+from .coeffs import (_check_cells, _dtype, _flip, _mod, _power, _rows,
+                     _times, _times_1x)
 from .core import (DucciSystem, ResidueTuple, basic_tuple, format_tuple,
                    validate_tuple)
 from .errors import CapExceededError, ParameterError
@@ -169,22 +169,6 @@ def _len_per(sys: DucciSystem, u: ResidueTuple, cap: int,
   return length, p
 
 
-def _orbit_rows(sys: DucciSystem, v: np.ndarray, count: int) -> np.ndarray:
-  # D^0..D^(count-1) of v as rows, on a grid of B = ceil(sqrt(count))
-  # columns: each checkpoint D^(iB) is one convolution past the one
-  # before, and B - 1 shifted adds step every checkpoint at once.
-  width = math.isqrt(count - 1) + 1
-  jump = _power(sys, width, [1])
-  grid = np.empty((-(-count // width), width, sys.n), v.dtype)
-  grid[0, 0] = v
-  for i in range(1, len(grid)):
-    grid[i, 0] = _times(sys, grid[i - 1, 0], jump)
-  back = np.arange(-1, sys.n - 1)
-  for j in range(1, width):
-    grid[:, j] = _mod(sys, grid[:, j - 1] + grid[:, j - 1, back])
-  return grid.reshape(-1, sys.n)[:count]
-
-
 def orbit_summary(sys: DucciSystem, u: Sequence[int], *,
                   max_states: int = ORBIT_VISIT_CAP) -> OrbitSummary:
   '''Pre-period, period and the states of the orbit of u.
@@ -199,9 +183,9 @@ def orbit_summary(sys: DucciSystem, u: Sequence[int], *,
   count = length + per
   _check_cells(count * sys.n, f'orbit in {sys}')
   if count <= len(walked):
-    rows = np.stack(walked[:count])
+    rows = np.array(walked[:count])
   else:
-    rows = _orbit_rows(sys, walked[0], count)
+    rows = _rows(sys, walked[0], count)
   states = list(map(tuple, rows[:, -np.arange(sys.n)].tolist()))
   return OrbitSummary(
     len=length,

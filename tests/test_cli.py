@@ -1,5 +1,6 @@
 '''Command-line front end: argument handling, formats, exit codes.'''
 
+import argparse
 import hashlib
 import json
 import os
@@ -13,9 +14,9 @@ import pytest
 import ducci
 from ducci import (build_graph, format_tuple, kernel_set, make_system,
                    orbit_summary, predecessors, to_dot, to_edge_csv)
-from ducci.cli import main
-from ducci.limits import COEFF_CELL_CAP
-from ducci.verify import DEFAULT_SYSTEMS
+from ducci.cli import build_parser, main
+from ducci.limits import COEFF_CELL_CAP, ENUM_NODE_CAP, ORBIT_VISIT_CAP
+from ducci.verify import CHECK_NAMES, DEFAULT_SYSTEMS
 
 # The directory that holds the imported `ducci` package (src/ in a checkout).
 PACKAGE_ROOT = Path(ducci.__file__).resolve().parent.parent
@@ -485,7 +486,74 @@ def declared_script(name):
   raise AssertionError(f'{pyproject} declares no {name!r} in [project.scripts]')
 
 
+# Each subcommand's arguments in order: option strings (the dest of a
+# positional), default, choices and whether it is required.
+HELP = ('-h --help', argparse.SUPPRESS, None, False)
+SYSTEM = [(flag, None, None, False) for flag in ('--m', '--n', '--k', '--l')]
+JSON_TEXT = ('--format', 'json', ('json', 'text'), False)
+OUTPUT = ('-o --output', None, None, False)
+TUPLE = ('-t --tuple', None, None, True)
+PARSERS = {
+  'step': [HELP, *SYSTEM, JSON_TEXT, OUTPUT, TUPLE, ('--r', 1, None, False),
+           ('--via', 'direct', ('direct', 'coeffs'), False),
+           ('--scale', None, None, False), ('--add', None, None, False),
+           ('--shift', 0, None, False)],
+  'orbit': [HELP, *SYSTEM, JSON_TEXT, OUTPUT, TUPLE,
+            ('--vanishes', False, None, False),
+            ('--max-states', ORBIT_VISIT_CAP, None, False)],
+  'basic': [HELP, *SYSTEM, JSON_TEXT, OUTPUT,
+            ('--max-states', ORBIT_VISIT_CAP, None, False)],
+  'preds': [HELP, *SYSTEM, JSON_TEXT, OUTPUT, TUPLE],
+  'kernel': [HELP, *SYSTEM, JSON_TEXT, OUTPUT,
+             ('--max-states', ENUM_NODE_CAP, None, False)],
+  'coeff': [HELP, *SYSTEM, ('--format', 'csv', ('csv', 'json', 'text'), False),
+            OUTPUT, ('--r-max', None, None, False),
+            ('--at', None, None, False), ('--view', None, None, False)],
+  'binom': [HELP, JSON_TEXT, OUTPUT, ('big', None, None, True),
+            ('small', None, None, True), ('mod_exp', None, None, True)],
+  'graph': [HELP, *SYSTEM,
+            ('--format', 'dot', ('dot', 'csv', 'json', 'text'), False),
+            OUTPUT, ('--component', None, None, False),
+            ('--max-nodes', ENUM_NODE_CAP, None, False)],
+  'verify': [HELP, JSON_TEXT, OUTPUT,
+             ('check', 'all', CHECK_NAMES + ('all',), False),
+             *[(flag, None, None, False)
+               for flag in ('--k-min', '--k-max', '--l-min', '--l-max',
+                            '--j-min', '--j-max', '--n-max')],
+             ('--samples', 100, None, False), ('--seed', 0, None, False),
+             ('--m', None, None, False), ('--n', None, None, False),
+             ('--max-states', None, None, False)],
+}
+
+
 class TestPlumbing:
+  @pytest.mark.parametrize('name', PARSERS)
+  def test_subcommand_parser_is_pinned(self, name):
+    # Pinned as data, not help bytes, which vary with the Python version
+    # and the terminal width.
+    _, table = build_parser()
+    assert list(table) == list(PARSERS)
+    assert [(' '.join(action.option_strings) or action.dest, action.default,
+             action.choices, action.required)
+            for action in table[name]._actions] == PARSERS[name]
+
+  @pytest.mark.parametrize('argv, message', [
+    ('coeff --m 4 --n 4 --r-max 1 --at 1,1',
+     'pick exactly one of --r-max, --at, --view'),
+    ('verify --m 3', '--m and --n go together'),
+    ('step --k 1 --tuple 1', '--k and --l go together'),
+    ('coeff --m 4 --n 4 --view x:1',
+     "--view looks like 'f:gamma,delta', 'g:gamma,eps,delta', "
+     "or 'h:gamma,delta'"),
+  ])
+  def test_handler_errors_show_their_subcommand_usage(self, capsys, argv,
+                                                      message):
+    name = argv.split()[0]
+    code, out, err = run_cli(capsys, *argv.split())
+    assert (code, out) == (2, '')
+    assert err.startswith(f'usage: ducci {name} ')
+    assert err.endswith(f'\nducci {name}: error: {message}\n')
+
   def test_usage_errors_exit_two(self, capsys):
     cases = [
         ['step', '--tuple', '1,2'],                                # no system

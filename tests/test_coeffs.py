@@ -143,6 +143,16 @@ class TestAgainstRecurrence:
       assert engine_row(sys, r) == row, r
     assert coeff_table(sys, len(rows) - 1).rows == tuple(rows)
 
+  # Tables step row 0 on a sqrt grid in each dtype of the engine: int64,
+  # uint64 wrapping mod 2^64, and Python ints; rows hold Python ints.
+  @pytest.mark.parametrize('m,n,r_max', [
+    (4, 4, 8), (2, 1, 5), (7, 13, 500), (3, 1, 0), (12, 64, 3000),
+    (2 ** 64, 3, 70), (10 ** 19 + 7, 5, 40), (2 ** 70, 6, 33)])
+  def test_table_matches_recurrence(self, m, n, r_max):
+    rows = coeff_table(make_system(m, n), r_max).rows
+    assert rows == tuple(recurrence_rows(m, n, r_max))
+    assert {type(value) for row in rows for value in row} == {int}
+
   @given(st.integers(2, 12), st.integers(1, 69), st.integers(0, 3000))
   @settings(max_examples=40, deadline=None)
   def test_random_systems(self, m, n, r):

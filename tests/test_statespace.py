@@ -296,7 +296,8 @@ def test_components_match_union_find(m, n):
 
 # The sha256 of each command's stdout, as pinned by the benchmark's
 # whole_space workload (bench/workloads.py), so byte identity of the
-# machine formats is guarded here too.
+# machine formats is guarded here too.  The last two are the argv shapes
+# of its verify_sweep workload, full and tiny, which must keep parsing.
 PINNED = [
   (('kernel', '--m', '4', '--n', '10'),
    'c0d59f021e1d08f0e6c20483d9b47fa1b9068d67f491d45584441f814a0dcadc'),
@@ -317,6 +318,12 @@ PINNED = [
    '62fdeb924b19b9a8626519921055538a4c0ec9ba1f2b540ff428bb0fdb062104'),
   (('graph', '--m', '2', '--n', '4', '--format', 'csv'),
    '87dc125760f5e5525224f64c5538f7986a556ae5217db8f08f275f9676816273'),
+  (('verify', 'all', '--seed', '0'),
+   '63ea6f4efd504886229933962077efe3271ae24dfc4b03081f3df2ea7b35fc46'),
+  (('verify', 'all', '--seed', '1951', '--k-max', '2', '--l-max', '2',
+    '--j-max', '4', '--n-max', '4', '--m', '3', '--n', '4',
+    '--max-states', '64'),
+   '9478520f6e12bc6d866f375d4aa9bafaf456378e748188b05f15e7983130b58f'),
 ]
 
 

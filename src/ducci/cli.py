@@ -20,11 +20,11 @@ without parentheses and are reduced mod m (with a warning on stderr
 when reduction changed an entry).
 
 Exit codes: 0 success (or all checks pass / hypothesis-skip), 1 check
-failure, 2 usage error, 3 cap exceeded.  Handlers raise usage errors as
-`ParameterError`, and `main` reports each with its subcommand's usage
-line.  Identical invocations give byte-identical stdout for the machine
-formats (json, csv, dot); the verify text summary includes wall-clock
-timings and is exempt.
+failure, 2 usage error, 3 cap exceeded.  The CLI checks only its own
+spellings; values are checked by the library.  A `ParameterError` from
+either is reported by `main` with the subcommand's usage line.  Identical
+runs give byte-identical stdout for the machine formats (json, csv, dot);
+the verify text summary includes wall-clock timings and is exempt.
 '''
 
 from __future__ import annotations
@@ -35,8 +35,8 @@ import sys
 from pathlib import Path
 
 from . import _statespace
-from .coeffs import (CoeffView, apply_coeff_expansion, binom_mod_pow2,
-                     coeff_at, coeff_table, coeff_view)
+from .coeffs import (apply_coeff_expansion, binom_mod_pow2, coeff_at,
+                     coeff_table, view_f, view_g, view_h)
 from .core import (DucciSystem, ResidueTuple, add, basic_tuple, ducci_iter,
                    format_tuple, make_system, parse_tuple, reduce_tuple,
                    scale, shift)
@@ -49,6 +49,9 @@ from .verify import CHECK_NAMES, exit_code, reports_to_jsonl, run_checks, summar
 __all__ = ['main', 'build_parser']
 
 _JSON_SEP = (',', ':')
+
+# Endpoints of verify's sweeps: each is a flag and a `run_checks` keyword.
+_RANGE_ENDS = ('k_min', 'k_max', 'l_min', 'l_max', 'j_min', 'j_max', 'n_max')
 
 
 def _system_from_args(args: argparse.Namespace) -> DucciSystem:
@@ -70,9 +73,6 @@ def _system_from_args(args: argparse.Namespace) -> DucciSystem:
 def _tuple_from_args(sys_: DucciSystem, text: str) -> ResidueTuple:
   entries = parse_tuple(text)
   reduced = reduce_tuple(sys_, entries)
-  if len(entries) != sys_.n:
-    raise ParameterError(
-      f'tuple has {len(entries)} entries, system needs {sys_.n}')
   if tuple(entries) != reduced:
     print(f'warning: entries reduced mod {sys_.m}: '
           f'{format_tuple(entries)} -> {format_tuple(reduced)}',
@@ -102,8 +102,6 @@ def _answer(args: argparse.Namespace, obj, text: str) -> int:
 def _cmd_step(args) -> int:
   sys_ = _system_from_args(args)
   u = _tuple_from_args(sys_, args.tuple)
-  if args.r < 0:
-    raise ParameterError('--r must be >= 0')
   if args.shift < 0:
     raise ParameterError('--shift must be >= 0')
   if args.scale is not None:
@@ -166,22 +164,19 @@ def _cmd_kernel(args) -> int:
   return 0
 
 
-def _parse_int_list(text: str, want: int, what: str) -> list[int]:
-  parts = [p.strip() for p in text.split(',')]
-  if len(parts) != want or not all(p.lstrip('-').isdigit() for p in parts):
+def _parse_int_list(text: str, want: int, what: str) -> tuple[int, ...]:
+  values = parse_tuple(text)
+  if len(values) != want:
     raise ParameterError(
       f'{what} needs {want} comma-separated integers, got {text!r}')
-  return [int(p) for p in parts]
+  return values
 
 
 def _cmd_coeff(args) -> int:
   sys_ = _system_from_args(args)
-  chosen = [x for x in (args.r_max, args.at, args.view) if x is not None]
-  if len(chosen) != 1:
+  if sum(x is not None for x in (args.r_max, args.at, args.view)) != 1:
     raise ParameterError('pick exactly one of --r-max, --at, --view')
   if args.r_max is not None:
-    if args.r_max < 0:
-      raise ParameterError('--r-max must be >= 0')
     table = coeff_table(sys_, args.r_max)
     if args.format == 'json':
       rows = {str(r): list(table.rows[r]) for r in range(args.r_max + 1)}
@@ -191,26 +186,18 @@ def _cmd_coeff(args) -> int:
     return 0
   if args.at is not None:
     r, s = _parse_int_list(args.at, 2, '--at')
-    if r < 0:
-      raise ParameterError('row must be >= 0')
     value = coeff_at(sys_, r, s)
     return _answer(args, {'r': r, 's': s, 'value': value}, f'{value}\n')
   kind, _, rest = args.view.partition(':')
-  if kind not in ('f', 'g', 'h') or not rest:
+  view = {'f': view_f, 'g': view_g, 'h': view_h}.get(kind)
+  if view is None or not rest:
     raise ParameterError("--view looks like 'f:gamma,delta', "
                          "'g:gamma,eps,delta', or 'h:gamma,delta'")
-  params = _parse_int_list(rest, 3 if kind == 'g' else 2, '--view')
-  if kind == 'g':
-    view = CoeffView(kind, params[0], params[2], eps=params[1])
-  else:
-    view = CoeffView(kind, params[0], params[1])
-  value = coeff_view(sys_, view)
+  value = view(sys_, *_parse_int_list(rest, 3 if kind == 'g' else 2, '--view'))
   return _answer(args, {'view': args.view, 'value': value}, f'{value}\n')
 
 
 def _cmd_binom(args) -> int:
-  if args.big < 0 or args.small < 0 or args.mod_exp < 1:
-    raise ParameterError('need N >= 0, K >= 0, L >= 1')
   value = binom_mod_pow2(args.big, args.small, args.mod_exp)
   return _answer(args, {'n': args.big, 'k': args.small, 'l': args.mod_exp,
                         'value': value}, f'{value}\n')
@@ -240,8 +227,7 @@ def _cmd_verify(args) -> int:
       raise ParameterError('--m and --n go together')
     systems = [(args.m, args.n)]
   reports = run_checks(
-    [args.check], k_min=args.k_min, k_max=args.k_max, l_min=args.l_min,
-    l_max=args.l_max, j_min=args.j_min, j_max=args.j_max, n_max=args.n_max,
+    [args.check], **{end: getattr(args, end) for end in _RANGE_ENDS},
     samples=args.samples, seed=args.seed, systems=systems)
   if args.format == 'text':
     _emit(summary_table(reports), args.output)
@@ -339,13 +325,8 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
   sub.add_argument('check', nargs='?', default='all',
                    choices=CHECK_NAMES + ('all',),
                    help='which check to run (default all)')
-  sub.add_argument('--k-min', type=int)
-  sub.add_argument('--k-max', type=int)
-  sub.add_argument('--l-min', type=int)
-  sub.add_argument('--l-max', type=int)
-  sub.add_argument('--j-min', type=int)
-  sub.add_argument('--j-max', type=int)
-  sub.add_argument('--n-max', type=int)
+  for end in _RANGE_ENDS:
+    sub.add_argument('--' + end.replace('_', '-'), type=int)
   sub.add_argument('--samples', type=int, default=100,
                    help='recorded in bound\'s "sampled" cases, which are '
                    'proved for every state (default 100)')
@@ -366,6 +347,8 @@ def main(argv=None) -> int:
     if args.command is None:
       parser.error('a COMMAND is required')
     try:
+      if [] in vars(args).values():  # argparse reads `--opt=--` as []
+        raise ParameterError("an option was given '--' as its value")
       return args.run(args)
     except ParameterError as exc:
       table[args.command].error(str(exc))

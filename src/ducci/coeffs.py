@@ -142,6 +142,8 @@ def _flip(x: Sequence[int]) -> list[int]:
 
 def _norm_col(n: int, s: int) -> int:
   # Column indices are cyclic: s and s + n name the same column.
+  if not isinstance(s, int):
+    raise ParameterError(f'column index must be an integer, got {s!r}')
   return (s - 1) % n + 1
 
 
@@ -155,8 +157,9 @@ class CoeffTable:
 
   def at(self, r: int, s: int) -> int:
     '''a(r, s) with the column index normalized cyclically into 1..n.'''
-    if not 0 <= r <= self.r_max:
-      raise ParameterError(f'row {r} outside 0..{self.r_max}')
+    if not isinstance(r, int) or not 0 <= r <= self.r_max:
+      raise ParameterError(
+        f'row index must be an integer in 0..{self.r_max}, got {r!r}')
     return self.rows[r][_norm_col(self.sys.n, s) - 1]
 
   def to_csv(self) -> str:
@@ -244,8 +247,9 @@ def view_h(sys: DucciSystem, gamma: int, delta: int) -> int:
 # --- binomial coefficients mod 2^l ------------------------------------
 
 def _odd_prefix(size: int, l: int) -> Sequence[int]:
-  '''table[j] = product of the odd t <= j, mod 2^l, for j < size.'''
-  _check_cells(size, 'binomial table')
+  '''table[j] = product of the odd t <= j, mod 2^l, for j < size.  A
+  Python-int cell (l > 64) weighs as 64 against the cap.'''
+  _check_cells(size * (64 if l > 64 else 1), 'binomial table')
   mod = 1 << l
   if l > 64:
     return tuple(accumulate((t if t & 1 else 1 for t in range(size)),

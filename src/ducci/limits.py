@@ -12,8 +12,9 @@ ENUM_NODE_CAP = 1 << 20
 
 # Most cells a coefficient table ((r + 1) * n), the products of one row's
 # convolutions (min(r + 1, n) * n), a binomial row (N + 1), an odd-residue
-# table, a stored orbit ((len + per) * n) or a predecessor list (m * n) may
-# span.  It also bounds the elimination behind verify's subgroup and preds:
-# n^3 cells, each weighing 64 once it is a Python int ((m-1)^2 >= 2^62), so
-# n <= 256, or n <= 64 for such moduli.
+# table (min(N + 1, 2^l)), a stored orbit ((len + per) * n) or a predecessor
+# list (m * n) may span.  It also bounds the elimination behind verify's
+# subgroup and preds: n^3 cells.  A Python-int cell weighs 64, so elimination
+# answers n <= 256, or n <= 64 once (m-1)^2 >= 2^62, and an odd-residue table
+# answers N < 2^18 once l > 64.
 COEFF_CELL_CAP = 1 << 24

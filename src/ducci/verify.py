@@ -493,7 +493,7 @@ def run_checks(names=None, *, k_min=None, k_max=None, l_min=None, l_max=None,
     selected = list(CHECK_NAMES)
   unknown = [name for name in selected if name not in _CHECKS]
   if unknown:
-    raise ValueError(f'unknown check names: {unknown}')
+    raise ParameterError(f'unknown check names: {unknown}')
 
   def bounded(lo, hi):
     return lambda default_lo, default_hi: range(

@@ -89,6 +89,16 @@ class TestScalar:
       binom_mod_pow2(big, big >> 1, 30)
     assert (info.value.required, info.value.cap) == (big + 1, COEFF_CELL_CAP)
 
+  def test_python_int_table_weighs_64_cells(self):
+    # Above l = 64 a table cell is a Python int and counts as 64 cells,
+    # so the cap answers N < 2^18 there and refuses from 2^18 on.
+    big = 1 << 18
+    with pytest.raises(CapExceededError) as info:
+      binom_mod_pow2(big, 12345, 100)
+    assert (info.value.required, info.value.cap) == ((big + 1) * 64,
+                                                     COEFF_CELL_CAP)
+    assert binom_mod_pow2(big - 1, 3, 100) == math.comb(big - 1, 3) % (1 << 100)
+
   def test_large_exponent_table_is_one_uint64_pass(self):
     # Above l = 16 each call builds its own table of min(N + 1, 2^l)
     # cells: 8 bytes each, not a Python int apiece.

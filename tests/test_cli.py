@@ -10,6 +10,7 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import ducci
 from ducci import (build_graph, format_tuple, kernel_set, make_system,
@@ -262,6 +263,12 @@ class TestCoeff:
     _, out, _ = run_cli(capsys, 'coeff', '--m', '4', '--n', '4',
                         '--at', '4,1', '--format', 'text')
     assert out.strip() == '2'
+
+  def test_cell_takes_tuple_syntax(self, capsys):
+    for at in ('(4,1)', '4,1,', ' 4 , 1 '):
+      code, out, _ = run_cli(capsys, 'coeff', '--m', '4', '--n', '4',
+                             '--at', at, '--format', 'text')
+      assert (code, out) == (0, '2\n'), at
 
   def test_views(self, capsys):
     _, f_out, _ = run_cli(capsys, 'coeff', '--k', '2', '--l', '2',
@@ -545,6 +552,23 @@ class TestPlumbing:
     ('coeff --m 4 --n 4 --view x:1',
      "--view looks like 'f:gamma,delta', 'g:gamma,eps,delta', "
      "or 'h:gamma,delta'"),
+    # Integer lists are parsed as tuples, so '--1' is a usage error.
+    ('coeff --m 4 --n 4 --at=--1,1', "bad tuple text '--1,1': invalid "
+     "literal for int() with base 10: '--1'"),
+    ('coeff --m 4 --n 4 --view f:1,--2', "bad tuple text '1,--2': invalid "
+     "literal for int() with base 10: '--2'"),
+    # Values are checked by the library, in its own words.
+    ('step --m 4 --n 3 --tuple 1,2,3 --r -1',
+     'iteration count must be an integer >= 0, got -1'),
+    ('coeff --m 4 --n 4 --r-max -1',
+     'row index must be an integer >= 0, got -1'),
+    ('coeff --m 4 --n 4 --at=-1,1',
+     'row index must be an integer >= 0, got -1'),
+    ('binom -1 0 1', 'upper index must be an integer >= 0, got -1'),
+    ('binom 4 2 0', 'modulus exponent must be an integer >= 1, got 0'),
+    ('coeff --m 4 --n 4 --at=--', "an option was given '--' as its value"),
+    ('step --m 4 --n 3 --tuple 1,2,3 --shift=--',
+     "an option was given '--' as its value"),
   ])
   def test_handler_errors_show_their_subcommand_usage(self, capsys, argv,
                                                       message):
@@ -553,6 +577,15 @@ class TestPlumbing:
     assert (code, out) == (2, '')
     assert err.startswith(f'usage: ducci {name} ')
     assert err.endswith(f'\nducci {name}: error: {message}\n')
+
+  @given(st.text() | st.text('0123456789-+(), _'))
+  @example('--1,1')
+  @example('--')
+  @settings(max_examples=200, deadline=None)
+  def test_any_at_text_exits_cleanly(self, text):
+    # Whatever follows --at, the answer is a value, a usage error or a cap.
+    code = main(['coeff', '--m', '4', '--n', '4', f'--at={text}'])
+    assert code in (0, 2, 3), text
 
   def test_usage_errors_exit_two(self, capsys):
     cases = [

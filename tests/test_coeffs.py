@@ -86,6 +86,12 @@ class TestTable:
       table.at(4, 1)
     with pytest.raises(ParameterError):
       coeff_at(make_system(4, 4), -1, 1)
+    # Indices are Python ints; a float or a string is refused, not indexed.
+    sys = make_system(4, 4)
+    for call in (lambda: table.at(1.0, 1), lambda: coeff_at(sys, 3, 1.5),
+                 lambda: coeff_at(sys, 3, '2'), lambda: view_f(sys, 1, 1.5)):
+      with pytest.raises(ParameterError, match='must be an integer'):
+        call()
 
   def test_cell_cap(self):
     with pytest.raises(CapExceededError):

@@ -213,7 +213,7 @@ class TestRunner:
     assert all(m ** n <= 1 << 16 for m, n in DEFAULT_SYSTEMS)
 
   def test_unknown_name_rejected(self):
-    with pytest.raises(ValueError):
+    with pytest.raises(ParameterError):
       run_checks(['nonsense'])
 
   def test_seeded_rerun_is_byte_identical(self):

@@ -8,9 +8,9 @@ binomial coefficients modulo powers of two, exports transition
 graphs, and machine-checks the identity catalog in `ducci.verify`.
 '''
 
-from .coeffs import (CoeffTable, CoeffView, apply_coeff_expansion,
-                     binom_mod_pow2, binom_mod_pow2_range, coeff_at,
-                     coeff_table, coeff_view, view_f, view_g, view_h)
+from .coeffs import (CoeffTable, apply_coeff_expansion, binom_mod_pow2,
+                     binom_mod_pow2_range, coeff_at, coeff_table, view_f,
+                     view_g, view_h)
 from .core import (DucciSystem, ResidueTuple, add, basic_tuple, ducci_iter,
                    ducci_step, format_tuple, make_system, parse_tuple,
                    reduce_tuple, scale, shift, validate_tuple)
@@ -32,8 +32,8 @@ __all__ = [
   'format_tuple', 'parse_tuple',
   'OrbitSummary', 'KernelSet', 'orbit_summary', 'orbit_len_per_lowmem',
   'basic_len_per', 'vanishes', 'predecessors', 'kernel_set', 'len_per_map',
-  'CoeffTable', 'CoeffView', 'coeff_table', 'coeff_at',
-  'apply_coeff_expansion', 'coeff_view', 'view_f', 'view_g', 'view_h',
+  'CoeffTable', 'coeff_table', 'coeff_at', 'apply_coeff_expansion',
+  'view_f', 'view_g', 'view_h',
   'binom_mod_pow2', 'binom_mod_pow2_range',
   'TransitionGraph', 'build_graph', 'component_of', 'weak_components',
   'to_dot', 'to_edge_csv',

@@ -228,7 +228,7 @@ def _cmd_verify(args) -> int:
     systems = [(args.m, args.n)]
   reports = run_checks(
     [args.check], **{end: getattr(args, end) for end in _RANGE_ENDS},
-    samples=args.samples, seed=args.seed, systems=systems)
+    systems=systems)
   if args.format == 'text':
     _emit(summary_table(reports), args.output)
   else:
@@ -327,15 +327,11 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
                    help='which check to run (default all)')
   for end in _RANGE_ENDS:
     sub.add_argument('--' + end.replace('_', '-'), type=int)
-  sub.add_argument('--samples', type=int, default=100,
-                   help='recorded in bound\'s "sampled" cases, which are '
-                   'proved for every state (default 100)')
-  sub.add_argument('--seed', type=int, default=0,
-                   help='recorded only; no check draws (default 0)')
   sub.add_argument('--m', type=int, help='restrict system checks (with --n)')
   sub.add_argument('--n', type=int, help='restrict system checks (with --m)')
-  sub.add_argument('--max-states', type=int,
-                   help='ignored: no check enumerates a state space')
+  for flag in ('--seed', '--max-states'):
+    sub.add_argument(flag, type=int,
+                     help='ignored: no check draws or enumerates states')
 
   return parser, table
 

@@ -39,8 +39,8 @@ from .errors import CapExceededError, ParameterError
 from .limits import COEFF_CELL_CAP
 
 __all__ = [
-  'CoeffTable', 'CoeffView', 'coeff_table', 'coeff_at',
-  'apply_coeff_expansion', 'coeff_view', 'view_f', 'view_g', 'view_h',
+  'CoeffTable', 'coeff_table', 'coeff_at', 'apply_coeff_expansion',
+  'view_f', 'view_g', 'view_h',
   'binom_mod_pow2', 'binom_mod_pow2_range',
 ]
 
@@ -195,53 +195,32 @@ def apply_coeff_expansion(sys: DucciSystem, u: Sequence[int],
   return tuple(_flip(_power(sys, r, _flip(x)).tolist()))
 
 
-@dataclass(frozen=True)
-class CoeffView:
-  '''A named window into the table for systems with n = 2^k.
-
-  kind "f": a(gamma * 2^(k-1), delta)            (needs k >= 1)
-  kind "g": a(gamma * 2^(k-1), eps * 2^(k-2) + delta)   (needs k >= 2)
-  kind "h": a(gamma * 2^(k-1) - 1, delta)        (needs k >= 1, gamma >= 1)
-  '''
-
-  kind: str
-  gamma: int
-  delta: int
-  eps: int | None = None
-
-
-def coeff_view(sys: DucciSystem, view: CoeffView) -> int:
-  '''Evaluate a view; rejects systems whose n is not a suitable power of 2.'''
-  k = sys.pow2_n
-  if k is None or k < 1:
+def _half_turn(sys: DucciSystem) -> int:
+  # 2^(k-1) for n = 2^k: the row and column step of the half-turn views.
+  if sys.pow2_n is None or sys.pow2_n < 1:
     raise ParameterError(f'views need n = 2^k with k >= 1, got n = {sys.n}')
-  if view.kind == 'f':
-    return coeff_at(sys, view.gamma * 2 ** (k - 1), view.delta)
-  if view.kind == 'g':
-    if k < 2:
-      raise ParameterError('g-views need n = 2^k with k >= 2')
-    if view.eps is None:
-      raise ParameterError('g-views need an eps parameter')
-    return coeff_at(sys, view.gamma * 2 ** (k - 1),
-                    view.eps * 2 ** (k - 2) + view.delta)
-  if view.kind == 'h':
-    row = view.gamma * 2 ** (k - 1) - 1
-    if row < 0:
-      raise ParameterError('h-views need gamma * 2^(k-1) >= 1')
-    return coeff_at(sys, row, view.delta)
-  raise ParameterError(f'unknown view kind {view.kind!r}')
+  return sys.n // 2
 
 
 def view_f(sys: DucciSystem, gamma: int, delta: int) -> int:
-  return coeff_view(sys, CoeffView('f', gamma, delta))
+  '''a(gamma * 2^(k-1), delta) for n = 2^k, k >= 1.'''
+  return coeff_at(sys, gamma * _half_turn(sys), delta)
 
 
 def view_g(sys: DucciSystem, gamma: int, eps: int, delta: int) -> int:
-  return coeff_view(sys, CoeffView('g', gamma, delta, eps))
+  '''a(gamma * 2^(k-1), eps * 2^(k-2) + delta) for n = 2^k, k >= 2.'''
+  half = _half_turn(sys)
+  if half < 2:
+    raise ParameterError('g-views need n = 2^k with k >= 2')
+  return coeff_at(sys, gamma * half, eps * (half // 2) + delta)
 
 
 def view_h(sys: DucciSystem, gamma: int, delta: int) -> int:
-  return coeff_view(sys, CoeffView('h', gamma, delta))
+  '''a(gamma * 2^(k-1) - 1, delta) for n = 2^k, k >= 1, gamma >= 1.'''
+  row = gamma * _half_turn(sys) - 1
+  if row < 0:
+    raise ParameterError('h-views need gamma * 2^(k-1) >= 1')
+  return coeff_at(sys, row, delta)
 
 
 # --- binomial coefficients mod 2^l ------------------------------------

@@ -13,7 +13,7 @@ Checked claims, with their check ids:
                          equal ((l+1) * 2^(k-1), 1)
   length_lower_bound     one step earlier the basic iterate is nonzero
   vanishing_bound        every state of Z_{2^l}^{2^k} is zero after
-                         l * 2^k steps
+                         (l+1) * 2^(k-1) steps
   binary_length_formula  in Z_2^n the basic pre-period is 2^v2(n)
   trivial_kernel         the kernel of Z_{2^l}^{2^k} is {0}
   cycle_subgroup         the cycle states are a subgroup, closed under
@@ -39,13 +39,13 @@ reaches the checks through `_CHECKS`, one row per CLI name with that
 check's default ranges.  Adding a check means one case function and
 one row.
 
-No check enumerates a state space or draws a sample: every case is
-proved.  The length formula and its lower bound read coefficient rows
-L - 1 and L of L = (l+1) * 2^(k-1).  The trivial kernel and the
-vanishing bound are proved by row l * 2^k at every size: the kernel is
-{0}, and every state vanishes, exactly when that row is zero.  The
-cycle subgroup and the predecessor count compare the orders of images
-D^r(Z_m^n), each the span of the n rotations of row r, found by
+No check enumerates a state space: every case is proved.  The length
+formula, its lower bound and the vanishing bound read coefficient rows
+L - 1 and L of L = (l+1) * 2^(k-1); every state vanishes within L steps
+exactly when row L is zero.  The trivial kernel is proved by row
+l * 2^k at every size: the kernel is {0} exactly when that row is zero.
+The cycle subgroup and the predecessor count compare the orders of
+images D^r(Z_m^n), each the span of the n rotations of row r, found by
 elimination over Z_m.  Congruence cases read one row each at their own
 modulus 2^l.
 '''
@@ -157,10 +157,9 @@ def _sweep(check_id: str, parameters: dict, grid, case) -> CheckReport:
                      tuple(cases), time.perf_counter() - started)
 
 
-def _kl_sweep(check_id: str, k_range, l_range, case, **extra) -> CheckReport:
-  '''`_sweep` over every (k, l), k outermost; `extra` joins the report's
-  parameters after the two ranges.'''
-  return _sweep(check_id, {'k': list(k_range), 'l': list(l_range), **extra},
+def _kl_sweep(check_id: str, k_range, l_range, case) -> CheckReport:
+  '''`_sweep` over every (k, l), k outermost.'''
+  return _sweep(check_id, {'k': list(k_range), 'l': list(l_range)},
                 [{'k': k, 'l': l} for k in k_range for l in l_range], case)
 
 
@@ -173,7 +172,10 @@ def verify_length_formula(k_range=range(1, 6),
                           l_range=range(1, 7)) -> CheckReport:
   '''Basic pre-period and period of Z_{2^l}^{2^k}: ((l+1)*2^(k-1), 1).
   The basic iterate D^r(0, ..., 0, 1) is row r reversed and 0 is fixed:
-  both hold iff row L - 1 is nonzero and row L, (1+x) times it, zero.'''
+  both hold iff row L - 1 is nonzero and row L, (1+x) times it, zero.
+  That is the paper's theorem in full: row L being zero proves that
+  every state vanishes within L steps, and row L - 1 being nonzero
+  proves that the bound is tight.'''
   def case(k, l):
     if k < 1 or l < 1:
       return _NEEDS_K1_L1
@@ -201,43 +203,22 @@ def verify_length_lower_bound(k_range=range(1, 6),
   return _kl_sweep('length_lower_bound', k_range, l_range, case)
 
 
-# verify_vanishing_bound labels cases up to this size "exhaustive".
-_EXHAUSTIVE_STATES = 1 << 16
+def verify_vanishing_bound(k_range=range(1, 6),
+                           l_range=range(1, 7)) -> CheckReport:
+  '''Within L = (l+1) * 2^(k-1) steps every state of Z_{2^l}^{2^k} is zero.
 
-
-def verify_vanishing_bound(k_range=range(1, 6), l_range=range(1, 7), *,
-                           samples: int = 100, seed: int = 0) -> CheckReport:
-  '''After l * 2^k steps every state of Z_{2^l}^{2^k} is zero.
-
-  Every case is proved for every state by row l * 2^k.  D^r is
-  multiplication by row r, so all states vanish exactly when that row
-  is zero; else D^r(0, ..., 0, 1) is the row reversed, and code 1 is the
-  first state left nonzero, the witness.  A pass reports mode
-  "exhaustive" with the state count up to 2^16 states, and mode
-  "sampled" with `samples` above: there "sampled" is only a format
-  label, since no state is drawn and `seed` is only recorded.  Also
-  asserts the formula value never exceeds this bound.  Raises
-  `ParameterError` when `samples` < 1.
-  '''
-  if samples < 1:
-    raise ParameterError(f'samples must be >= 1, got {samples}')
-
+  Every case is proved for every state by row L.  D^L is multiplication
+  by row L, so all states vanish exactly when that row is zero; else
+  D^L(0, ..., 0, 1) is the row reversed, and code 1 is the first state
+  left nonzero, the witness.'''
   def case(k, l):
     if k < 1 or l < 1:
       return _NEEDS_K1_L1
-    sys = make_system(2 ** l, 2 ** k)
-    bound = l * 2 ** k
-    formula = (l + 1) * 2 ** (k - 1)
-    if formula > bound:
-      return 'fail', {'formula': formula, 'bound': bound}
+    sys, bound = make_system(2 ** l, 2 ** k), (l + 1) * 2 ** (k - 1)
     if _row(sys, bound).any():
       return 'fail', {'state': [0] * (sys.n - 1) + [1], 'bound': bound}
-    if sys.state_count <= _EXHAUSTIVE_STATES:
-      return 'pass', {'bound': bound, 'states': sys.state_count,
-                      'mode': 'exhaustive'}
-    return 'pass', {'bound': bound, 'samples': samples, 'mode': 'sampled'}
-  return _kl_sweep('vanishing_bound', k_range, l_range, case,
-                   samples=samples, seed=seed)
+    return 'pass', {'mode': 'certificate', 'bound': bound}
+  return _kl_sweep('vanishing_bound', k_range, l_range, case)
 
 
 def verify_binary_length_formula(n_max: int = 16) -> CheckReport:
@@ -460,8 +441,7 @@ def verify_half_modulus_pivot(k_range=range(2, 7),
 _CHECKS = {
   'main': lambda a: [verify_length_formula(a.k(1, 5), a.l(1, 6))],
   'lower': lambda a: [verify_length_lower_bound(a.k(1, 5), a.l(1, 6))],
-  'bound': lambda a: [verify_vanishing_bound(
-    a.k(1, 5), a.l(1, 6), samples=a.samples, seed=a.seed)],
+  'bound': lambda a: [verify_vanishing_bound(a.k(1, 5), a.l(1, 6))],
   'l2': lambda a: [verify_binary_length_formula(
     16 if a.n_max is None else a.n_max)],
   'kernel': lambda a: [verify_trivial_kernel(a.k(1, 5), a.l(1, 6))],
@@ -480,8 +460,8 @@ DEFAULT_SYSTEMS = tuple(
 
 
 def run_checks(names=None, *, k_min=None, k_max=None, l_min=None, l_max=None,
-               j_min=None, j_max=None, n_max=None, samples: int = 100,
-               seed: int = 0, systems=None) -> list[CheckReport]:
+               j_min=None, j_max=None, n_max=None,
+               systems=None) -> list[CheckReport]:
   '''Run the named checks (all of them by default) and return reports
   sorted by check id and parameters.
 
@@ -501,7 +481,7 @@ def run_checks(names=None, *, k_min=None, k_max=None, l_min=None, l_max=None,
 
   args = SimpleNamespace(
     k=bounded(k_min, k_max), l=bounded(l_min, l_max),
-    j=bounded(j_min, j_max), n_max=n_max, samples=samples, seed=seed,
+    j=bounded(j_min, j_max), n_max=n_max,
     systems=list(DEFAULT_SYSTEMS) if systems is None else list(systems))
   reports = [report for name in selected for report in _CHECKS[name](args)]
   reports.sort(key=lambda r: (r.check_id,
@@ -518,7 +498,7 @@ def reports_to_jsonl(reports, include_elapsed: bool = False) -> str:
 
 
 def _params_text(parameters: dict) -> str:
-  # "k=1..5 l=1..6 seed=0": a run of consecutive values as first..last.
+  # "k=1..5 l=1..6": a run of consecutive values as first..last.
   parts = []
   for key, value in parameters.items():
     if isinstance(value, list):

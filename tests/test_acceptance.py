@@ -109,14 +109,13 @@ def test_criterion_03_length_formula_sweep():
 
 def test_criterion_04_vanishing_bound():
   def body():
-    rep = verify_vanishing_bound(range(1, 6), range(1, 7),
-                                 samples=100, seed=0)
+    rep = verify_vanishing_bound(range(1, 6), range(1, 7))
     assert rep.verdict == 'pass'
     assert all(c.verdict == 'pass' for c in rep.cases)
     for case in rep.cases:
       k, l = case.params['k'], case.params['l']
-      want = 'exhaustive' if 2 ** (l * 2 ** k) <= 1 << 16 else 'sampled'
-      assert case.observed['mode'] == want, (k, l)
+      assert case.observed == {'mode': 'certificate',
+                               'bound': (l + 1) * 2 ** (k - 1)}, (k, l)
 
   report(4, 'vanishing bound', timed(5.0, body))
 

@@ -420,10 +420,11 @@ class TestVerify:
 
   @pytest.mark.parametrize('samples', ['0', '-3'])
   def test_no_samples_is_a_usage_error(self, capsys, samples):
+    # No check draws samples, so verify has no --samples flag.
     code, out, err = run_cli(capsys, 'verify', 'bound', '--k-min', '4',
                              '--k-max', '4', '--samples', samples)
     assert (code, out) == (2, '')
-    assert 'samples must be >= 1' in err
+    assert 'unrecognized arguments: --samples' in err
 
   def test_single_system_restriction(self, capsys):
     code, out, _ = run_cli(capsys, 'verify', 'subgroup',
@@ -445,7 +446,7 @@ class TestVerify:
     # row; the params column tells them apart.
     code, out, _ = run_cli(capsys, 'verify', 'all', '--format', 'text',
                            '--k-max', '3', '--l-max', '3', '--j-max', '6',
-                           '--n-max', '8', '--samples', '10')
+                           '--n-max', '8')
     assert code == 0
     header, *rows = out.splitlines()
     assert header.split()[:2] == ['check_id', 'params']
@@ -527,8 +528,8 @@ PARSERS = {
              *[(flag, None, None, False)
                for flag in ('--k-min', '--k-max', '--l-min', '--l-max',
                             '--j-min', '--j-max', '--n-max')],
-             ('--samples', 100, None, False), ('--seed', 0, None, False),
              ('--m', None, None, False), ('--n', None, None, False),
+             ('--seed', None, None, False),
              ('--max-states', None, None, False)],
 }
 
@@ -612,8 +613,7 @@ class TestPlumbing:
   def test_byte_identical_reruns(self, capsys):
     for argv in [
         ['orbit', '--m', '4', '--n', '3', '--tuple', '3,1,3'],
-        ['verify', 'bound', '--k-max', '2', '--l-max', '2',
-         '--samples', '20', '--seed', '5'],
+        ['verify', 'bound', '--k-max', '2', '--l-max', '2', '--seed', '5'],
         ['coeff', '--m', '4', '--n', '4', '--r-max', '8'],
     ]:
       _, first, _ = run_cli(capsys, *argv)

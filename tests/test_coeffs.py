@@ -15,10 +15,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ducci import (CapExceededError, CoeffView, ParameterError,
-                   apply_coeff_expansion, basic_tuple, binom_mod_pow2,
-                   coeff_at, coeff_table, coeff_view, ducci_iter,
-                   make_system, orbit_summary, view_f, view_g, view_h)
+from ducci import (CapExceededError, ParameterError, apply_coeff_expansion,
+                   basic_tuple, binom_mod_pow2, coeff_at, coeff_table,
+                   ducci_iter, make_system, orbit_summary, view_f, view_g,
+                   view_h)
 from ducci.coeffs import _row
 from ducci.limits import COEFF_CELL_CAP
 from ducci.verify import DEFAULT_SYSTEMS
@@ -280,14 +280,6 @@ class TestViews:
   def test_g_needs_k_at_least_two(self):
     with pytest.raises(ParameterError):
       view_g(make_system(4, 2), 1, 1, 1)
-
-  def test_g_needs_eps(self):
-    with pytest.raises(ParameterError):
-      coeff_view(make_system(4, 4), CoeffView('g', 2, 1))
-
-  def test_unknown_kind(self):
-    with pytest.raises(ParameterError):
-      coeff_view(make_system(4, 4), CoeffView('q', 1, 1))
 
 
 class TestMemory:

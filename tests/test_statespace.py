@@ -5,7 +5,8 @@ cycle labels and periods, forward passes for pre-periods) are checked
 against orbit walks of every state, against the pure-Python peel and
 breadth-first search they replaced, and against a plain union-find;
 the vanishing certificate row against powers of the successor array
-and, past 2^16 states, against seeded samples stepped in a batch;
+and, past 2^16 states, against seeded samples stepped in a batch; the
+paper's bound against the pre-periods of every state;
 the export text is pinned byte for byte.
 '''
 
@@ -250,15 +251,32 @@ def test_successor_power_matches_batch_iter(k, l):
 
 @pytest.mark.parametrize('k,l', SAMPLED_KL)
 def test_seeded_samples_vanish_by_stepping(k, l):
-  # The certificate row proves every state of these spaces vanishes;
-  # 100 seeded states stepped l * 2^k times are the independent check.
-  m, n, bound = 2 ** l, 2 ** k, l * 2 ** k
+  # The certificate row proves every state of these spaces vanishes
+  # within L = (l+1) * 2^(k-1) steps; 100 seeded states stepped L times
+  # are the independent check.
+  m, n, bound = 2 ** l, 2 ** k, (l + 1) * 2 ** (k - 1)
   states = np.random.default_rng([k, l]).integers(0, m, size=(100, n))
   for _ in range(bound):
     states = batch_step(states, m)
   assert not states.any()
   [case] = verify_vanishing_bound(range(k, k + 1), range(l, l + 1)).cases
-  assert case.observed == {'bound': bound, 'samples': 100, 'mode': 'sampled'}
+  assert case.observed == {'mode': 'certificate', 'bound': bound}
+
+
+# The 15 systems Z_{2^l}^{2^k}, k, l >= 1, of at most 2^16 states.
+THEOREM_KL = [(k, l) for k in range(1, 5) for l in range(1, 9)
+              if l * 2 ** k <= 16]
+
+
+@pytest.mark.parametrize('k,l', THEOREM_KL)
+def test_paper_bound_matches_enumeration(k, l):
+  # The paper's theorem on every state: each one vanishes within
+  # L = (l+1) * 2^(k-1) steps, and some state needs all L of them.
+  bound = (l + 1) * 2 ** (k - 1)
+  lens, pers = zip(*len_per_map(make_system(2 ** l, 2 ** k)).values())
+  assert (max(lens), set(pers)) == (bound, {1})
+  [case] = verify_vanishing_bound(range(k, k + 1), range(l, l + 1)).cases
+  assert case.observed == {'mode': 'certificate', 'bound': bound}
 
 
 @pytest.mark.parametrize('m,n', DESK_SYSTEMS)
@@ -319,11 +337,11 @@ PINNED = [
   (('graph', '--m', '2', '--n', '4', '--format', 'csv'),
    '87dc125760f5e5525224f64c5538f7986a556ae5217db8f08f275f9676816273'),
   (('verify', 'all', '--seed', '0'),
-   '63ea6f4efd504886229933962077efe3271ae24dfc4b03081f3df2ea7b35fc46'),
+   'f7b8a51ea0e99619c17369ab6ba4173ecf33ace026ccafa898d270217ccf857f'),
   (('verify', 'all', '--seed', '1951', '--k-max', '2', '--l-max', '2',
     '--j-max', '4', '--n-max', '4', '--m', '3', '--n', '4',
     '--max-states', '64'),
-   '9478520f6e12bc6d866f375d4aa9bafaf456378e748188b05f15e7983130b58f'),
+   '9b4027ce901ae5f161dd4c6271196627e4cb19c6ee2652369332c25e06bf0142'),
 ]
 
 

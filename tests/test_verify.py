@@ -3,7 +3,6 @@
 import hashlib
 import itertools
 import json
-import random
 
 import numpy as np
 import pytest
@@ -43,18 +42,14 @@ class TestChecksPass:
     assert verify_length_lower_bound(range(1, 4), range(1, 4)).verdict == 'pass'
 
   def test_vanishing_bound_modes(self):
-    report = verify_vanishing_bound(range(1, 4), range(1, 3), samples=10)
+    # Every case is a certificate at the paper's bound (l+1) * 2^(k-1),
+    # whatever the size of its space.
+    report = verify_vanishing_bound(range(1, 4), range(1, 4))
     assert report.verdict == 'pass'
-    modes = {(c.params['k'], c.params['l']): c.observed['mode']
-             for c in report.cases}
-    assert modes[(1, 1)] == 'exhaustive'
-    assert modes[(3, 2)] == 'exhaustive'     # 2^16 states, right at the edge
-    assert 'samples' in report.parameters
-
-  @pytest.mark.parametrize('samples', [0, -3])
-  def test_vanishing_bound_refuses_no_samples(self, samples):
-    with pytest.raises(ParameterError, match='samples'):
-      verify_vanishing_bound(range(4, 5), range(1, 2), samples=samples)
+    assert report.parameters == {'k': [1, 2, 3], 'l': [1, 2, 3]}
+    assert [c.observed for c in report.cases] == [
+      {'mode': 'certificate', 'bound': (l + 1) * 2 ** (k - 1)}
+      for k in (1, 2, 3) for l in (1, 2, 3)]
 
   def test_binary_length_formula(self):
     report = verify_binary_length_formula(16)
@@ -146,7 +141,7 @@ class TestSkips:
 class TestRunner:
   def test_runs_everything_by_default(self):
     reports = run_checks(systems=[(3, 2), (4, 2)], k_max=2, l_max=2,
-                         j_max=4, n_max=4, samples=5)
+                         j_max=4, n_max=4)
     assert {r.check_id for r in reports} == set(CHECK_IDS)
     assert exit_code(reports) == 0
 
@@ -161,7 +156,7 @@ class TestRunner:
 
     monkeypatch.setattr(ducci.verify, 'basic_len_per', refuse_n5)
     reports = run_checks(systems=[(3, 2), (4, 2)], k_max=2, l_max=2,
-                         j_max=4, n_max=6, samples=5)
+                         j_max=4, n_max=6)
     assert {r.check_id for r in reports} == set(CHECK_IDS)
     (l2,) = [r for r in reports if r.check_id == 'binary_length_formula']
     not_passed = [(c.params, c.verdict, c.reason) for c in l2.cases
@@ -182,8 +177,7 @@ class TestRunner:
         return _check(*args, **kwargs)
 
       monkeypatch.setattr(ducci.verify, f'verify_{check_id}', record)
-    run_checks(systems=[(3, 2)], k_max=2, l_max=3, j_max=3, n_max=2,
-               samples=5)
+    run_checks(systems=[(3, 2)], k_max=2, l_max=3, j_max=3, n_max=2)
     assert called == list(CHECK_IDS)
     assert CHECK_NAMES == ('main', 'lower', 'bound', 'l2', 'kernel',
                            'subgroup', 'preds', 'binom', 'sum1', 'sum2',
@@ -216,22 +210,22 @@ class TestRunner:
     with pytest.raises(ParameterError):
       run_checks(['nonsense'])
 
-  def test_seeded_rerun_is_byte_identical(self):
-    first = run_checks(['bound'], k_max=3, l_max=3, samples=20, seed=7)
-    second = run_checks(['bound'], k_max=3, l_max=3, samples=20, seed=7)
-    assert reports_to_jsonl(first) == reports_to_jsonl(second)
+  def test_seeded_rerun_is_byte_identical(self, capsys):
+    # `verify --seed` is accepted and ignored: no check draws, so runs
+    # under different seeds print the same bytes.
+    outputs = []
+    for seed in ('7', '701'):
+      assert main(['verify', 'bound', '--k-max', '3', '--l-max', '3',
+                   '--seed', seed]) == 0
+      outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
 
   # sha256 of the full default sweep's JSONL, pinned so that a faster
   # check must reproduce every verdict, witness and byte of the old one.
-  @pytest.mark.parametrize('seed,sha256', [
-    (0, '63ea6f4efd504886229933962077efe3271ae24dfc4b03081f3df2ea7b35fc46'),
-    (701,
-     '75a3d7115aa090c770174b0f013b3807f159218c40e015b1bee67bfe67fa277a'),
-  ])
-  def test_default_sweep_jsonl_is_pinned(self, seed, sha256):
-    reports = run_checks(seed=seed)
+  def test_default_sweep_jsonl_is_pinned(self):
+    reports = run_checks()
     assert hashlib.sha256(reports_to_jsonl(reports).encode()).hexdigest() == (
-      sha256)
+      'f7b8a51ea0e99619c17369ab6ba4173ecf33ace026ccafa898d270217ccf857f')
     assert exit_code(reports) == 0     # every case decided, none capped
 
   def test_narrow_sweep_jsonl_is_pinned(self):
@@ -240,9 +234,9 @@ class TestRunner:
     # of subgroup and preds; the default sweeps reach none of these.
     text = reports_to_jsonl(run_checks(
       k_min=0, k_max=2, l_min=0, l_max=3, j_min=0, j_max=3, n_max=3,
-      systems=[(2, 3), (3, 2), (2, 258)], samples=5, seed=3))
+      systems=[(2, 3), (3, 2), (2, 258)]))
     assert hashlib.sha256(text.encode()).hexdigest() == (
-      '1b807fd07036f7fab11e6b5c22f8633429ccca51cfdb64e160cdb9da94c448fd')
+      '79a65e96e17a7a848c26b914e0651bd2e0c0596bd8c8022febae5fbefb5701a5')
 
 
 class TestReports:
@@ -437,23 +431,17 @@ class TestClosure:
 # coefficient row into the check, and pins the verdict and witness by
 # hand or against a slow loop.
 
-def old_vanishing_cases(k_range, l_range, samples, seed, exhaustive_limit,
-                        walk):
-  '''The former verify_vanishing_bound loop with `walk(u, m, bound)` as
-  the bound-th iterate of the map on tuples: walk every state, or draw
-  samples and stop at the first failing one.'''
-  rng = random.Random(seed)
+def walked_vanishing_cases(k_range, l_range, walk):
+  '''Case witnesses of verify_vanishing_bound found by walking, with
+  `walk(u, m, bound)` as the bound-th iterate of the map on tuples: the
+  first state, in code order, still nonzero after L = (l+1) * 2^(k-1)
+  steps, or None when every state vanishes.'''
   cases = []
   for k in k_range:
     for l in l_range:
-      m, n, bound = 2 ** l, 2 ** k, l * 2 ** k
-      if m ** n <= exhaustive_limit:
-        candidates = itertools.product(range(m), repeat=n)
-      else:
-        candidates = (tuple(rng.randrange(m) for _ in range(n))
-                      for _ in range(samples))
-      bad_state = next((u for u in candidates if any(walk(u, m, bound))),
-                       None)
+      m, n, bound = 2 ** l, 2 ** k, (l + 1) * 2 ** (k - 1)
+      bad_state = next((u for u in itertools.product(range(m), repeat=n)
+                        if any(walk(u, m, bound))), None)
       cases.append(None if bad_state is None
                    else {'state': list(bad_state), 'bound': bound})
   return cases
@@ -507,12 +495,13 @@ class TestFailurePaths:
                                      'iterate': 'zero'}
 
   @settings(max_examples=40, deadline=None)
-  @given(st.lists(st.lists(st.integers(0, 3), min_size=4, max_size=4),
-                  min_size=4, max_size=4))
+  @given(st.lists(st.lists(st.integers(0, 7), min_size=4, max_size=4),
+                  min_size=6, max_size=6))
   def test_exhaustive_vanishing_witness_matches_walks(self, draws):
     # Each system's certificate row is replaced by a drawn one; the walk
-    # applies the linear map that row defines to every state.
-    systems = [(2, 2), (4, 2), (2, 4), (4, 4)]
+    # applies the linear map that row defines to every state.  A nonzero
+    # row fails with code 1, (0, ..., 0, 1), which that map leaves nonzero.
+    systems = [(2 ** l, 2 ** k) for k in range(1, 3) for l in range(1, 4)]
     rows = {(m, n): np.array(draw[:n]) % m
             for (m, n), draw in zip(systems, draws)}
     asked = []
@@ -523,46 +512,17 @@ class TestFailurePaths:
 
     with pytest.MonkeyPatch.context() as patch:
       patch.setattr(ducci.verify, '_row', fake_row)
-      report = verify_vanishing_bound(range(1, 3), range(1, 3))
-    want = old_vanishing_cases(
-      range(1, 3), range(1, 3), 100, 0, 1 << 16,
+      report = verify_vanishing_bound(range(1, 3), range(1, 4))
+    want = walked_vanishing_cases(
+      range(1, 3), range(1, 4),
       lambda u, m, bound: row_map(rows[m, len(u)], u, m))
-    assert asked == [(m, n, (m.bit_length() - 1) * n) for m, n in systems]
+    assert asked == [(m, n, m.bit_length() * n // 2) for m, n in systems]
     assert [c.witness for c in report.cases] == want
-    assert all(c.observed is None or c.observed['mode'] == 'exhaustive'
-               for c in report.cases)
-
-  @settings(max_examples=40, deadline=None)
-  @given(st.lists(st.lists(st.integers(0, 7), min_size=4, max_size=4),
-                  min_size=6, max_size=6),
-         st.integers(0, 2 ** 32), st.integers(1, 20))
-  def test_sampled_vanishing_witness_matches_sample_loop(self, draws, seed,
-                                                         samples):
-    # Every case is sampled-size and its certificate row a drawn one.  The
-    # former sample loop, stepping the linear map that row defines, finds
-    # a failing sample only where the row is nonzero; there the check
-    # fails with code 1, (0, ..., 0, 1), which that map leaves nonzero.
-    systems = [(2 ** l, 2 ** k) for k in range(1, 3) for l in range(1, 4)]
-    rows = {(m, n): np.array(draw[:n]) % m
-            for (m, n), draw in zip(systems, draws)}
-    with pytest.MonkeyPatch.context() as patch:
-      patch.setattr(ducci.verify, '_row', lambda sys, r: rows[sys.m, sys.n])
-      patch.setattr(ducci.verify, '_EXHAUSTIVE_STATES', 0)
-      report = verify_vanishing_bound(range(1, 3), range(1, 4),
-                                      samples=samples, seed=seed)
-    sample_loop = old_vanishing_cases(
-      range(1, 3), range(1, 4), samples, seed, 0,
-      lambda u, m, bound: row_map(rows[m, len(u)], u, m))
-    for case, (m, n), sample_witness in zip(report.cases, systems,
-                                            sample_loop):
-      bound, code_one = case.params['l'] * n, [0] * (n - 1) + [1]
-      if rows[m, n].any():
-        assert case.witness == {'state': code_one, 'bound': bound}
-        assert any(row_map(rows[m, n], code_one, m))
-      else:
-        assert sample_witness is None
-        assert case.observed == {'bound': bound, 'samples': samples,
-                                 'mode': 'sampled'}
+    for case, (m, n) in zip(report.cases, systems):
+      if case.observed is not None:
+        assert case.observed == {'mode': 'certificate',
+                                 'bound': m.bit_length() * n // 2}
+        assert not rows[m, n].any()
 
 
 # --- the kernel certificate against enumeration ---------------------------
@@ -600,12 +560,11 @@ class TestKernelCertificate:
     report = verify_trivial_kernel()
     assert report.verdict == 'pass'
     assert all(c.verdict == 'pass' for c in report.cases)
-    # The vanishing bound reads the same row on its 13 spaces of at most
-    # 2^16 states and steps samples on the other 17.
+    # The vanishing bound reads row (l+1) * 2^(k-1) on all 30 spaces.
     report = verify_vanishing_bound()
-    assert [c.verdict for c in report.cases] == ['pass'] * 30
-    modes = [c.observed['mode'] for c in report.cases]
-    assert (modes.count('exhaustive'), modes.count('sampled')) == (13, 17)
+    assert [c.observed for c in report.cases] == [
+      {'mode': 'certificate', 'bound': (l + 1) * 2 ** (k - 1)}
+      for k in range(1, 6) for l in range(1, 7)]
     # All eleven default checks decide every case; only preds skips odd n.
     reports = run_checks()
     assert exit_code(reports) == 0

@@ -13,7 +13,7 @@ from itertools import product
 
 import numpy as np
 
-from .errors import CapExceededError
+from .errors import CapExceededError, ParameterError
 from .limits import ENUM_NODE_CAP
 
 
@@ -45,6 +45,8 @@ def texts(codes: np.ndarray, m: int, n: int, open_: str,
 
 def successor_array(m: int, n: int, cap: int = ENUM_NODE_CAP) -> np.ndarray:
   '''Code of the pair-sum image for every state code, as int64.'''
+  if not isinstance(cap, int) or cap < 0:
+    raise ParameterError(f'state cap must be an integer >= 0, got {cap!r}')
   if m ** n > cap:
     raise CapExceededError(
       f'enumerating Z_{m}^{n} needs {m ** n} states, cap is {cap}',

@@ -22,6 +22,7 @@ of carries when adding K and N-K in base 2.  Its odd part comes from
 odd parts of factorials, and the odd part of N! is the product of the
 odd t <= N times the odd part of (N >> 1)!: one lookup per bit of N in
 a table of odd-residue prefix products mod 2^l (Granville's reduction).
+A row C(N, .) mod 2^l, l <= 63, inverts all odd parts of s! at once.
 '''
 
 from __future__ import annotations
@@ -45,7 +46,8 @@ __all__ = [
 ]
 
 
-def _check_cells(cells: int, what: str = 'table') -> None:
+def _check_cells(cells: int, what: str = 'table', dtype=np.int64) -> None:
+  cells *= 64 if dtype == object else 1  # a Python-int cell weighs 64
   if cells > COEFF_CELL_CAP:
     raise CapExceededError(
       f'{what} of {cells} cells exceeds the {COEFF_CELL_CAP}-cell cap',
@@ -61,7 +63,7 @@ def _check_row(sys: DucciSystem, r: int, name: str = 'row index') -> None:
   # The cell cap bounds the work of one row: each of its O(log r)
   # convolutions multiplies n by at most min(r + 1, n) coefficients.
   _check_index(r, name)
-  _check_cells(min(r + 1, sys.n) * sys.n, 'row products')
+  _check_cells(min(r + 1, sys.n) * sys.n, 'row products', _dtype(sys))
 
 
 def _dtype(sys: DucciSystem) -> type:
@@ -226,9 +228,9 @@ def view_h(sys: DucciSystem, gamma: int, delta: int) -> int:
 # --- binomial coefficients mod 2^l ------------------------------------
 
 def _odd_prefix(size: int, l: int) -> Sequence[int]:
-  '''table[j] = product of the odd t <= j, mod 2^l, for j < size.  A
-  Python-int cell (l > 64) weighs as 64 against the cap.'''
-  _check_cells(size * (64 if l > 64 else 1), 'binomial table')
+  '''table[j] = product of the odd t <= j, mod 2^l, for j < size, in
+  uint64 up to l = 64 and as Python ints past it.'''
+  _check_cells(size, 'binomial table', object if l > 64 else np.uint64)
   mod = 1 << l
   if l > 64:
     return tuple(accumulate((t if t & 1 else 1 for t in range(size)),
@@ -287,35 +289,32 @@ def binom_mod_pow2(big: int, small: int, l: int) -> int:
   return (num * pow(den1 * den2, -1, mod) << carries) % mod
 
 
-@lru_cache(maxsize=None)
-def _log5(l: int) -> tuple[np.ndarray, np.ndarray]:
-  # For l <= 16 and L = max(l, 3), each odd x is 5^e or -5^e mod 2^L,
-  # the latter when x = 3 mod 4.  Returns e by x >> 1, and 5^e mod 2^L.
-  mod = 1 << max(l, 3)
-  pow5 = np.array([pow(5, e, mod) for e in range(mod >> 2)])
-  logs = np.empty(mod >> 1, dtype=np.int64)
-  logs[pow5 >> 1] = logs[(mod - pow5) >> 1] = np.arange(mod >> 2)
-  return logs, pow5
-
-
 def binom_mod_pow2_range(big: int, l: int) -> np.ndarray:
-  '''C(big, small) mod 2^l for every small in 0..big, as int64.
+  '''C(big, small) mod 2^l for every small in 0..big, as int64, l <= 63.
 
-  Vectorized version of `binom_mod_pow2` for row sweeps, restricted to
-  l <= 16; prefix products of odd parts are prefix sums of their logs.
+  f(s), the odd part of s!, is one uint64 prefix product of odd parts,
+  exact mod 2^64.  Newton's step x <- x (2 - f x) doubles the right low
+  bits of 1/f; x = f is right mod 8, where odd squares are 1, so five
+  steps reach 96.  The binomial's odd part is f(big) / (f(small)
+  f(big - small)).
   '''
   _check_binom_args(big, 0, l)
-  if l > 16:
-    raise ParameterError('row sweeps support l <= 16')
+  if l > 63:
+    raise ParameterError('row sweeps support l <= 63')
   _check_cells(big + 1, 'binomial row')
-  logs, pow5 = _log5(l)
-  t = np.arange(1, big + 1)
-  half_odd = t >> np.bitwise_count(t ^ (t - 1))  # (odd part of t) >> 1
-  exps, signs = (np.concatenate(([0], np.cumsum(x)))
-                 for x in (logs[half_odd & (len(logs) - 1)], half_odd & 1))
-  vals = pow5[(exps[big] - exps - exps[::-1]) & (len(pow5) - 1)]
-  vals = np.where((signs[big] - signs - signs[::-1]) & 1, -vals, vals)
-  # 2^carries, the exact power of two dividing the binomial, is 0 mod
-  # 2^l once carries >= l; carries <= log2(big) keeps the shift in int64.
-  pop = np.bitwise_count(np.arange(big + 1))
-  return (vals << (pop + pop[::-1] - big.bit_count())) % (1 << l)
+  fact = np.arange(big + 1, dtype=np.uint64)
+  pop = np.bitwise_count(fact)
+  # The odd part of t is t >> ctz(t), and ctz(t) = pop(t - 1) + 1 - pop(t).
+  fact[1:] >>= pop[:-1] + 1 - pop[1:]
+  fact[0] = 1
+  np.multiply.accumulate(fact, out=fact)
+  inv, out = fact.copy(), np.empty_like(fact)
+  for _ in range(5):
+    inv *= np.subtract(2, np.multiply(fact, inv, out=out), out=out)
+  np.multiply(inv, inv[::-1], out=out)
+  out *= fact[big]
+  # 2^carries, the exact power of two dividing the binomial, leaves 0
+  # under the mask once carries >= l; carries <= log2(big) < 64.
+  out <<= pop + pop[::-1] - pop[big]
+  out &= np.uint64((1 << l) - 1)
+  return out.view(np.int64)

@@ -15,6 +15,6 @@ ENUM_NODE_CAP = 1 << 20
 # table (min(N + 1, 2^l)), a stored orbit ((len + per) * n) or a predecessor
 # list (m * n) may span.  It also bounds the elimination behind verify's
 # subgroup and preds: n^3 cells.  A Python-int cell weighs 64, so elimination
-# answers n <= 256, or n <= 64 once (m-1)^2 >= 2^62, and an odd-residue table
-# answers N < 2^18 once l > 64.
+# answers n <= 256 (n <= 64 once (m-1)^2 >= 2^62), a row any r for n <= 4096
+# (n <= 512 in Python ints), and an odd-residue table N < 2^18 once l > 64.
 COEFF_CELL_CAP = 1 << 24

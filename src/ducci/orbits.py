@@ -119,6 +119,8 @@ def _len_per(sys: DucciSystem, u: ResidueTuple, cap: int,
   Past b lockstep steps, D^(cap-p)(u) == y decides at once whether
   len <= cap - p, so a refusal stays within O(sqrt(cap)) steps.
   '''
+  if not isinstance(cap, int) or cap < 0:
+    raise ParameterError(f'state cap must be an integer >= 0, got {cap!r}')
   b = math.isqrt(cap - 1) + 1 if cap > 0 else 0
   v, back = np.array(_flip(u), _dtype(sys)), np.arange(-1, sys.n - 1)
   key = np.ndarray.tobytes if v.dtype != object else lambda w: tuple(w.tolist())
@@ -135,7 +137,7 @@ def _len_per(sys: DucciSystem, u: ResidueTuple, cap: int,
   seen, k = walk(v, min(_OPENING, cap), [] if walked is None else walked)
   if k in seen:
     return seen[k], len(seen) - seen[k]
-  z = y = _power(sys, max(cap, 0), v)
+  z = y = _power(sys, cap, v)
   baby, k = walk(y, b, [])
   p = len(baby) - baby[k] if k in baby else None
   if p is None:
@@ -155,7 +157,7 @@ def _len_per(sys: DucciSystem, u: ResidueTuple, cap: int,
     format_tuple(u[:4])[:-1] + ',...,' + format_tuple(u[-4:])[1:])
   refused = CapExceededError(
     f'orbit of {text} in {sys} exceeds {cap} states',
-    required=max(cap, 0) + 1, cap=cap)
+    required=cap + 1, cap=cap)
   if p is None or p > cap:
     raise refused
   ahead, length, w = _power(sys, p, v), 0, v

@@ -143,16 +143,10 @@ def _sweep(check_id: str, parameters: dict, grid, case) -> CheckReport:
       verdict, detail = 'skip', f'cap: {exc}'
     cases.append(CaseResult(params, verdict,
                             **{_DETAIL_FIELD[verdict]: detail}))
-  counterexample = None
-  if any(c.verdict == 'fail' for c in cases):
-    verdict = 'fail'
-    first = next(c for c in cases if c.verdict == 'fail')
-    counterexample = dict(first.params)
-    counterexample.update(first.witness or {})
-  elif any(c.verdict == 'pass' for c in cases):
-    verdict = 'pass'
-  else:
-    verdict = 'skip'
+  verdicts = {c.verdict for c in cases}
+  verdict = next((v for v in ('fail', 'pass') if v in verdicts), 'skip')
+  first = next((c for c in cases if c.verdict == 'fail'), None)
+  counterexample = first and {**first.params, **(first.witness or {})}
   return CheckReport(check_id, parameters, verdict, counterexample,
                      tuple(cases), time.perf_counter() - started)
 
@@ -254,10 +248,10 @@ def verify_trivial_kernel(k_range=range(1, 6),
   return _kl_sweep('trivial_kernel', k_range, l_range, case)
 
 
-def _wide_cells(m: int) -> bool:
-  '''Whether `_span_order` holds cells over Z_m as Python ints: a row
-  step subtracts q * cell, both below m, so int64 serves while that fits.'''
-  return (m - 1) ** 2 >= 1 << 62
+def _cell_dtype(m: int) -> type:
+  '''The dtype of `_span_order`'s cells over Z_m: a row step subtracts
+  q * cell, both below m, so int64 serves while that fits.'''
+  return object if (m - 1) ** 2 >= 1 << 62 else np.int64
 
 
 def _span_order(rows, m: int) -> int:
@@ -267,7 +261,7 @@ def _span_order(rows, m: int) -> int:
   multiples of c.  That many times the pivot row is zero in the column
   and joins the rows for the later columns (Howell's step): without it
   the span loses those multiples of the pivot.'''
-  a = np.array(rows, object if _wide_cells(m) else np.int64) % m
+  a = np.array(rows, _cell_dtype(m)) % m
   order = 1
   for j in range(a.shape[1]):
     a = a[a[:, j:].any(axis=1)]
@@ -287,7 +281,7 @@ def _image_order(sys: DucciSystem, r: int) -> int:
   '''|D^r(Z_m^n)|.  D^r is the circulant of row r, so its image is the
   span of the row's n rotations.  Elimination touches n^3 cells, a
   Python-int cell weighing as 64, and is refused past COEFF_CELL_CAP.'''
-  _check_cells(sys.n ** 3 * (64 if _wide_cells(sys.m) else 1), 'elimination')
+  _check_cells(sys.n ** 3, 'elimination', _cell_dtype(sys.m))
   row = _row(sys, r).tolist()
   return _span_order([row[i:] + row[:i] for i in range(sys.n)], sys.m)
 
@@ -537,8 +531,6 @@ def exit_code(reports) -> int:
   failure, 3 when caps prevented a full verdict.'''
   if any(r.verdict == 'fail' for r in reports):
     return 1
-  for r in reports:
-    for case in r.cases:
-      if case.verdict == 'skip' and (case.reason or '').startswith('cap'):
-        return 3
-  return 0
+  capped = any(c.verdict == 'skip' and (c.reason or '').startswith('cap')
+               for r in reports for c in r.cases)
+  return 3 if capped else 0

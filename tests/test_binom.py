@@ -130,7 +130,7 @@ class TestScalar:
 
 class TestRange:
   @pytest.mark.parametrize('big', [0, 1, 2, 7, 64, 255, 300])
-  @pytest.mark.parametrize('l', [1, 2, 4, 8, 16])
+  @pytest.mark.parametrize('l', [1, 2, 4, 8, 16, 17, 32, 63])
   def test_agrees_with_scalar(self, big, l):
     row = binom_mod_pow2_range(big, l)
     assert row.dtype == np.int64
@@ -142,9 +142,28 @@ class TestRange:
       for big, row in enumerate(pascal_rows_mod(256, mod)):
         assert list(binom_mod_pow2_range(big, l)) == row, (big, l)
 
+  @given(st.integers(0, 2000), st.integers(1, 63))
+  @settings(max_examples=200)
+  def test_matches_comb(self, big, l):
+    mod = 1 << l
+    assert binom_mod_pow2_range(big, l).tolist() == [
+      math.comb(big, k) % mod for k in range(big + 1)]
+
   def test_rejects_large_exponent(self):
     with pytest.raises(ParameterError):
-      binom_mod_pow2_range(4, 17)
+      binom_mod_pow2_range(4, 64)
+
+  def test_row_memory_is_bounded(self):
+    # The uint64 odd-part factorials, their inverses and one Newton
+    # temporary: 25 bytes per cell measured.
+    big = 1 << 20
+    tracemalloc.start()
+    try:
+      binom_mod_pow2_range(big, 16)
+      peak = tracemalloc.get_traced_memory()[1]
+    finally:
+      tracemalloc.stop()
+    assert peak <= 32 * (big + 1), peak / (big + 1)
 
   def test_row_cap(self):
     big = 1 << 24

@@ -567,6 +567,10 @@ class TestPlumbing:
      'row index must be an integer >= 0, got -1'),
     ('binom -1 0 1', 'upper index must be an integer >= 0, got -1'),
     ('binom 4 2 0', 'modulus exponent must be an integer >= 1, got 0'),
+    ('orbit --m 4 --n 3 --tuple 1,2,3 --max-states -3',
+     'state cap must be an integer >= 0, got -3'),
+    ('kernel --m 4 --n 3 --max-states -1',
+     'state cap must be an integer >= 0, got -1'),
     ('coeff --m 4 --n 4 --at=--', "an option was given '--' as its value"),
     ('step --m 4 --n 3 --tuple 1,2,3 --shift=--',
      "an option was given '--' as its value"),

@@ -119,6 +119,14 @@ class TestTable:
     # The last row the cap allows is still answered, below the wrap by
     # plain Pascal.
     assert coeff_at(wide, 4094, 2048) == math.comb(4094, 2047) % 2
+    # Past the int64 bound a modulus that does not divide 2^64 holds
+    # Python-int cells, which weigh 64 each: n <= 512 is answered.
+    m = 10 ** 19 + 7
+    big = make_system(m, 513)
+    refuses(lambda: coeff_at(big, 512, 1), 513 * 513 * 64)
+    refuses(lambda: apply_coeff_expansion(big, basic_tuple(big), 512),
+            513 * 513 * 64)
+    assert coeff_at(make_system(m, 512), 511, 256) == math.comb(511, 255) % m
 
   def test_single_rows_ignore_the_table_cap(self):
     # Past r = COEFF_CELL_CAP / n a table is refused, one row is not.  The

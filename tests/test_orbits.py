@@ -10,9 +10,9 @@ from hypothesis import given, settings, strategies as st
 
 import ducci.orbits
 from ducci import (CapExceededError, ParameterError, _statespace,
-                   basic_len_per, basic_tuple, ducci_iter, ducci_step,
-                   kernel_set, len_per_map, make_system, orbit_len_per_lowmem,
-                   orbit_summary, predecessors, vanishes)
+                   basic_len_per, basic_tuple, build_graph, ducci_iter,
+                   ducci_step, kernel_set, len_per_map, make_system,
+                   orbit_len_per_lowmem, orbit_summary, predecessors, vanishes)
 from ducci.coeffs import _dtype, _power
 from ducci.core import _step
 from ducci.limits import COEFF_CELL_CAP, ORBIT_VISIT_CAP
@@ -190,6 +190,20 @@ class TestLenPer:
   def test_lowmem_step_cap(self):
     with pytest.raises(CapExceededError):
       orbit_len_per_lowmem(make_system(99991, 3), (1, 2, 3), max_steps=10)
+
+  @pytest.mark.parametrize('call', [
+    lambda sys, cap: orbit_summary(sys, (1, 2, 3), max_states=cap),
+    lambda sys, cap: orbit_len_per_lowmem(sys, (1, 2, 3), max_steps=cap),
+    lambda sys, cap: basic_len_per(sys, max_states=cap),
+    lambda sys, cap: vanishes(sys, (1, 2, 3), max_states=cap),
+    lambda sys, cap: kernel_set(sys, max_states=cap),
+    lambda sys, cap: len_per_map(sys, max_states=cap),
+    lambda sys, cap: build_graph(sys, max_nodes=cap),
+  ])
+  @pytest.mark.parametrize('cap', [-1, 2.5, '64', None])
+  def test_caps_are_integers_at_least_zero(self, call, cap):
+    with pytest.raises(ParameterError, match='state cap must be an integer'):
+      call(make_system(4, 3), cap)
 
   def test_map_matches_per_state_walks(self):
     for m, n in [(3, 3), (4, 2), (4, 3), (6, 2)]:

@@ -13,7 +13,8 @@ from itertools import product
 
 import numpy as np
 
-from .errors import CapExceededError, ParameterError
+from .core import _check_int
+from .errors import CapExceededError
 from .limits import ENUM_NODE_CAP
 
 
@@ -45,8 +46,7 @@ def texts(codes: np.ndarray, m: int, n: int, open_: str,
 
 def successor_array(m: int, n: int, cap: int = ENUM_NODE_CAP) -> np.ndarray:
   '''Code of the pair-sum image for every state code, as int64.'''
-  if not isinstance(cap, int) or cap < 0:
-    raise ParameterError(f'state cap must be an integer >= 0, got {cap!r}')
+  _check_int(cap, 'state cap')
   if m ** n > cap:
     raise CapExceededError(
       f'enumerating Z_{m}^{n} needs {m ** n} states, cap is {cap}',

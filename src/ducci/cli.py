@@ -122,17 +122,12 @@ def _cmd_orbit(args) -> int:
   u = _tuple_from_args(sys_, args.tuple)
   if args.vanishes:
     flag = vanishes(sys_, u, max_states=args.max_states)
-    _emit(('true' if flag else 'false') + '\n', args.output)
-    return 0
+    return _answer(args, flag, ('true' if flag else 'false') + '\n')
   summary = orbit_summary(sys_, u, max_states=args.max_states)
-  if args.format == 'json':
-    _emit(_json_line(summary.to_json_obj()), args.output)
-  else:
-    lines = [f'len {summary.len}', f'per {summary.per}',
-             'tail ' + ' '.join(format_tuple(t) for t in summary.tail),
-             'cycle ' + ' '.join(format_tuple(t) for t in summary.cycle)]
-    _emit('\n'.join(lines) + '\n', args.output)
-  return 0
+  lines = [f'len {summary.len}', f'per {summary.per}',
+           'tail ' + ' '.join(format_tuple(t) for t in summary.tail),
+           'cycle ' + ' '.join(format_tuple(t) for t in summary.cycle)]
+  return _answer(args, summary.to_json_obj(), '\n'.join(lines) + '\n')
 
 
 def _cmd_basic(args) -> int:

@@ -35,7 +35,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import DucciSystem, ResidueTuple, validate_tuple
+from .core import DucciSystem, ResidueTuple, _check_int, validate_tuple
 from .errors import CapExceededError, ParameterError
 from .limits import COEFF_CELL_CAP
 
@@ -54,15 +54,10 @@ def _check_cells(cells: int, what: str = 'table', dtype=np.int64) -> None:
       required=cells, cap=COEFF_CELL_CAP)
 
 
-def _check_index(r: int, name: str = 'row index') -> None:
-  if not isinstance(r, int) or r < 0:
-    raise ParameterError(f'{name} must be an integer >= 0, got {r!r}')
-
-
 def _check_row(sys: DucciSystem, r: int, name: str = 'row index') -> None:
   # The cell cap bounds the work of one row: each of its O(log r)
   # convolutions multiplies n by at most min(r + 1, n) coefficients.
-  _check_index(r, name)
+  _check_int(r, name)
   _check_cells(min(r + 1, sys.n) * sys.n, 'row products', _dtype(sys))
 
 
@@ -174,7 +169,7 @@ class CoeffTable:
 
 def coeff_table(sys: DucciSystem, r_max: int) -> CoeffTable:
   '''Rows 0..r_max of the coefficient table, residues mod m.'''
-  _check_index(r_max)
+  _check_int(r_max, 'row index')
   _check_cells((r_max + 1) * sys.n)
   rows = _rows(sys, _row(sys, 0), r_max + 1).tolist()
   return CoeffTable(sys, r_max, tuple(map(tuple, rows)))
@@ -262,10 +257,8 @@ def _odd_factorial(big: int, l: int, table: Sequence[int]) -> int:
 
 
 def _check_binom_args(big: int, small: int, l: int) -> None:
-  if not isinstance(l, int) or l < 1:
-    raise ParameterError(f'modulus exponent must be an integer >= 1, got {l!r}')
-  if not isinstance(big, int) or big < 0:
-    raise ParameterError(f'upper index must be an integer >= 0, got {big!r}')
+  _check_int(l, 'modulus exponent', 1)
+  _check_int(big, 'upper index')
   if not isinstance(small, int) or not 0 <= small <= big:
     raise ParameterError(
       f'lower index must be an integer in 0..{big}, got {small!r}')

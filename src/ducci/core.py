@@ -28,6 +28,12 @@ __all__ = [
 ]
 
 
+def _check_int(value, name: str, low: int = 0) -> None:
+  # A bool is an int to Python but never a count, size or index here.
+  if not isinstance(value, int) or isinstance(value, bool) or value < low:
+    raise ParameterError(f'{name} must be an integer >= {low}, got {value!r}')
+
+
 def _pow2_exponent(value: int) -> int | None:
   if value >= 1 and value & (value - 1) == 0:
     return value.bit_length() - 1
@@ -48,11 +54,8 @@ class DucciSystem:
   pow2_n: int | None = field(init=False)
 
   def __post_init__(self):
-    if not isinstance(self.m, int) or self.m < 2:
-      raise ParameterError(f'modulus must be an integer >= 2, got {self.m!r}')
-    if not isinstance(self.n, int) or self.n < 1:
-      raise ParameterError(
-        f'tuple length must be an integer >= 1, got {self.n!r}')
+    _check_int(self.m, 'modulus', 2)
+    _check_int(self.n, 'tuple length', 1)
     object.__setattr__(self, 'pow2_m', _pow2_exponent(self.m))
     object.__setattr__(self, 'pow2_n', _pow2_exponent(self.n))
 
@@ -108,8 +111,7 @@ def ducci_iter(sys: DucciSystem, u: Sequence[int], r: int) -> ResidueTuple:
   Repeated stepping is deliberate: analytic shortcuts live elsewhere
   and are checked against this function, never substituted for it.
   '''
-  if not isinstance(r, int) or r < 0:
-    raise ParameterError(f'iteration count must be an integer >= 0, got {r!r}')
+  _check_int(r, 'iteration count')
   cur = validate_tuple(sys, u)
   m = sys.m
   for _ in range(r):

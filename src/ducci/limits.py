@@ -11,7 +11,8 @@ ORBIT_VISIT_CAP = 1 << 24
 ENUM_NODE_CAP = 1 << 20
 
 # Most cells a coefficient table ((r + 1) * n), the products of one row's
-# convolutions (min(r + 1, n) * n), a binomial row (N + 1), an odd-residue
+# convolutions (min(r + 1, n) * n; an orbit search past its opening walk
+# is weighed as row r = cap), a binomial row (N + 1), an odd-residue
 # table (min(N + 1, 2^l)), a stored orbit ((len + per) * n) or a predecessor
 # list (m * n) may span.  It also bounds the elimination behind verify's
 # subgroup and preds: n^3 cells.  A Python-int cell weighs 64, so elimination

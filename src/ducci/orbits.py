@@ -27,9 +27,9 @@ import numpy as np
 from . import _statespace
 from .coeffs import (_check_cells, _dtype, _flip, _mod, _power, _rows,
                      _times, _times_1x)
-from .core import (DucciSystem, ResidueTuple, basic_tuple, format_tuple,
-                   validate_tuple)
-from .errors import CapExceededError, ParameterError
+from .core import (DucciSystem, ResidueTuple, _check_int, basic_tuple,
+                   format_tuple, validate_tuple)
+from .errors import CapExceededError
 from .limits import ENUM_NODE_CAP, ORBIT_VISIT_CAP
 
 __all__ = [
@@ -119,8 +119,7 @@ def _len_per(sys: DucciSystem, u: ResidueTuple, cap: int,
   Past b lockstep steps, D^(cap-p)(u) == y decides at once whether
   len <= cap - p, so a refusal stays within O(sqrt(cap)) steps.
   '''
-  if not isinstance(cap, int) or cap < 0:
-    raise ParameterError(f'state cap must be an integer >= 0, got {cap!r}')
+  _check_int(cap, 'state cap')
   b = math.isqrt(cap - 1) + 1 if cap > 0 else 0
   v, back = np.array(_flip(u), _dtype(sys)), np.arange(-1, sys.n - 1)
   key = np.ndarray.tobytes if v.dtype != object else lambda w: tuple(w.tolist())
@@ -137,6 +136,7 @@ def _len_per(sys: DucciSystem, u: ResidueTuple, cap: int,
   seen, k = walk(v, min(_OPENING, cap), [] if walked is None else walked)
   if k in seen:
     return seen[k], len(seen) - seen[k]
+  _check_cells(min(cap + 1, sys.n) * sys.n, 'orbit search', v.dtype)
   z = y = _power(sys, cap, v)
   baby, k = walk(y, b, [])
   p = len(baby) - baby[k] if k in baby else None
@@ -177,8 +177,9 @@ def orbit_summary(sys: DucciSystem, u: Sequence[int], *,
 
   Whether they fit is decided before anything is stored.  Raises
   `CapExceededError` past `max_states` states (`required` is
-  max_states + 1) or past `COEFF_CELL_CAP` cells (`required` is
-  (len + per) * n).  For longer orbits use `orbit_len_per_lowmem`.
+  max_states + 1) or past `COEFF_CELL_CAP` cells: the search's row
+  products, min(max_states + 1, n) * n, or the stored (len + per) * n.
+  For longer orbits use `orbit_len_per_lowmem`.
   '''
   cur, walked = validate_tuple(sys, u), []
   length, per = _len_per(sys, cur, max_states, walked)
@@ -201,8 +202,8 @@ def orbit_len_per_lowmem(sys: DucciSystem, u: Sequence[int], *,
                          max_steps: int = ORBIT_VISIT_CAP) -> tuple[int, int]:
   '''(pre-period, period) in O(sqrt(max_steps)) memory, storing no orbit.
 
-  Refuses exactly when len + per > max_steps, like `orbit_summary` with
-  the same message, `required` and `cap`.
+  Refuses when len + per > max_steps, or when the search's row products
+  pass `COEFF_CELL_CAP`, like `orbit_summary`.
   '''
   return _len_per(sys, validate_tuple(sys, u), max_steps)
 

@@ -34,7 +34,9 @@ Every check is one case function run by `_sweep`.  A case takes one
 parameter combination as keywords and returns (verdict, detail): the
 observed values on a pass, the witness on a fail, the reason on a skip.
 `_sweep` times the sweep, builds the `CaseResult`s and turns a
-`CapExceededError` raised by any case into a `cap:` skip.  `run_checks`
+`CapExceededError` raised by any case into a `cap:` skip.  The checks
+over Z_{2^l}^{2^k} sweep through `_pow2_sweep`, which states each
+hypothesis once and hands the case its system.  `run_checks`
 reaches the checks through `_CHECKS`, one row per CLI name with that
 check's default ranges.  Adding a check means one case function and
 one row.
@@ -55,13 +57,13 @@ from __future__ import annotations
 import json
 import math
 import time
+from collections import Counter
 from dataclasses import dataclass, field
 from types import SimpleNamespace
 
 import numpy as np
 
-from .coeffs import (_check_cells, _flip, _row, _times_1x, binom_mod_pow2,
-                     binom_mod_pow2_range)
+from .coeffs import _check_cells, _flip, _row, _times_1x, binom_mod_pow2_range
 from .core import DucciSystem, make_system
 from .errors import CapExceededError, ParameterError
 from .orbits import basic_len_per
@@ -89,14 +91,8 @@ class CaseResult:
   reason: str | None = None         # present iff verdict == skip
 
   def to_json_obj(self) -> dict:
-    obj: dict = {'params': self.params, 'verdict': self.verdict}
-    if self.observed is not None:
-      obj['observed'] = self.observed
-    if self.witness is not None:
-      obj['witness'] = self.witness
-    if self.reason is not None:
-      obj['reason'] = self.reason
-    return obj
+    return {key: value for key, value in vars(self).items()
+            if value is not None}
 
 
 @dataclass(frozen=True)
@@ -116,15 +112,10 @@ class CheckReport:
   elapsed: float = field(compare=False, default=0.0)
 
   def to_json_obj(self, include_elapsed: bool = False) -> dict:
-    obj: dict = {
-      'check_id': self.check_id,
-      'parameters': self.parameters,
-      'verdict': self.verdict,
-      'counterexample': self.counterexample,
-      'cases': [c.to_json_obj() for c in self.cases],
-    }
-    if include_elapsed:
-      obj['elapsed'] = self.elapsed
+    # The fields in their order, so the JSON keys are stated once.
+    obj = {**vars(self), 'cases': [c.to_json_obj() for c in self.cases]}
+    if not include_elapsed:
+      del obj['elapsed']
     return obj
 
 
@@ -151,13 +142,17 @@ def _sweep(check_id: str, parameters: dict, grid, case) -> CheckReport:
                      tuple(cases), time.perf_counter() - started)
 
 
-def _kl_sweep(check_id: str, k_range, l_range, case) -> CheckReport:
-  '''`_sweep` over every (k, l), k outermost.'''
+def _pow2_sweep(check_id: str, k_range, l_range, case, k_min=1, l_min=1,
+                needs='k >= 1 and l >= 1') -> CheckReport:
+  '''`_sweep` over every (k, l), k outermost: `case(sys, k, l)` on
+  Z_{2^l}^{2^k} when k >= k_min and l >= l_min, else a hypothesis skip
+  naming `needs`.'''
+  def run(k, l):
+    if k < k_min or l < l_min:
+      return 'skip', f'hypothesis: needs {needs}'
+    return case(make_system(2 ** l, 2 ** k), k, l)
   return _sweep(check_id, {'k': list(k_range), 'l': list(l_range)},
-                [{'k': k, 'l': l} for k in k_range for l in l_range], case)
-
-
-_NEEDS_K1_L1 = ('skip', 'hypothesis: needs k >= 1 and l >= 1')
+                [{'k': k, 'l': l} for k in k_range for l in l_range], run)
 
 
 # --- orbit-side checks -------------------------------------------------
@@ -170,31 +165,27 @@ def verify_length_formula(k_range=range(1, 6),
   That is the paper's theorem in full: row L being zero proves that
   every state vanishes within L steps, and row L - 1 being nonzero
   proves that the bound is tight.'''
-  def case(k, l):
-    if k < 1 or l < 1:
-      return _NEEDS_K1_L1
-    sys, steps = make_system(2 ** l, 2 ** k), (l + 1) * 2 ** (k - 1)
+  def case(sys, k, l):
+    steps = (l + 1) * 2 ** (k - 1)
     before = _row(sys, steps - 1)
     if not before.any():
       return 'fail', {'steps': steps - 1, 'iterate': 'zero'}
     if _times_1x(sys, before).any():
       return 'fail', {'steps': steps, 'iterate': 'nonzero'}
     return 'pass', {'len': steps, 'per': 1}
-  return _kl_sweep('length_formula', k_range, l_range, case)
+  return _pow2_sweep('length_formula', k_range, l_range, case)
 
 
 def verify_length_lower_bound(k_range=range(1, 6),
                               l_range=range(1, 7)) -> CheckReport:
   '''One step before the formula value the basic iterate is nonzero.
   That iterate is coefficient row `steps`, (1+x)^steps, reversed.'''
-  def case(k, l):
-    if k < 1 or l < 1:
-      return _NEEDS_K1_L1
+  def case(sys, k, l):
     steps = (l + 1) * 2 ** (k - 1) - 1
-    if not _row(make_system(2 ** l, 2 ** k), steps).any():
+    if not _row(sys, steps).any():
       return 'fail', {'steps': steps, 'iterate': 'zero'}
     return 'pass', {'steps': steps}
-  return _kl_sweep('length_lower_bound', k_range, l_range, case)
+  return _pow2_sweep('length_lower_bound', k_range, l_range, case)
 
 
 def verify_vanishing_bound(k_range=range(1, 6),
@@ -205,14 +196,12 @@ def verify_vanishing_bound(k_range=range(1, 6),
   by row L, so all states vanish exactly when that row is zero; else
   D^L(0, ..., 0, 1) is the row reversed, and code 1 is the first state
   left nonzero, the witness.'''
-  def case(k, l):
-    if k < 1 or l < 1:
-      return _NEEDS_K1_L1
-    sys, bound = make_system(2 ** l, 2 ** k), (l + 1) * 2 ** (k - 1)
+  def case(sys, k, l):
+    bound = (l + 1) * 2 ** (k - 1)
     if _row(sys, bound).any():
       return 'fail', {'state': [0] * (sys.n - 1) + [1], 'bound': bound}
     return 'pass', {'mode': 'certificate', 'bound': bound}
-  return _kl_sweep('vanishing_bound', k_range, l_range, case)
+  return _pow2_sweep('vanishing_bound', k_range, l_range, case)
 
 
 def verify_binary_length_formula(n_max: int = 16) -> CheckReport:
@@ -237,15 +226,13 @@ def verify_trivial_kernel(k_range=range(1, 6),
   D^r is multiplication by row r, so the kernel is {0} exactly when
   row l * 2^k is zero; a nonzero row, flipped, is D^r(1, 0, ..., 0), a
   nonzero cycle state.'''
-  def case(k, l):
-    if k < 1 or l < 1:
-      return _NEEDS_K1_L1
+  def case(sys, k, l):
     row = l * 2 ** k
-    cert = _row(make_system(2 ** l, 2 ** k), row)
+    cert = _row(sys, row)
     if cert.any():
       return 'fail', {'row': row, 'cycle_state': _flip(cert.tolist())}
     return 'pass', {'mode': 'certificate', 'row': row}
-  return _kl_sweep('trivial_kernel', k_range, l_range, case)
+  return _pow2_sweep('trivial_kernel', k_range, l_range, case)
 
 
 def _cell_dtype(m: int) -> type:
@@ -338,11 +325,11 @@ def verify_binomial_congruences(j_range=range(2, 17)) -> CheckReport:
     if j < 2:
       return 'skip', 'hypothesis: j must be >= 2'
     big, half = 2 ** j, 2 ** (j - 1)
-    observed = {
-      'center_mod4': binom_mod_pow2(big, half, 2),
-      'center_mod8': binom_mod_pow2(big, half, 3),
-      'odd_center_mod4': binom_mod_pow2(big - 1, half, 2),
-    }
+    row = binom_mod_pow2_range(big, 3)
+    odd_row = binom_mod_pow2_range(big - 1, 2)
+    observed = {'center_mod4': int(row[half]) % 4,
+                'center_mod8': int(row[half]),
+                'odd_center_mod4': int(odd_row[half])}
     if observed['center_mod4'] != 2:
       return 'fail', {'cell': [big, half], 'mod4': observed['center_mod4']}
     if observed['center_mod8'] != 6:
@@ -350,13 +337,13 @@ def verify_binomial_congruences(j_range=range(2, 17)) -> CheckReport:
     if observed['odd_center_mod4'] != 3:
       return 'fail', {'cell': [big - 1, half],
                       'mod4': observed['odd_center_mod4']}
-    row = binom_mod_pow2_range(big, 2)
+    row %= 4
     row[0] = row[half] = row[big] = 0
     nonzero = np.nonzero(row)[0]
     if nonzero.size:
       return 'fail', {'cell': [big, int(nonzero[0])],
                       'mod4': int(row[nonzero[0]])}
-    even_cells = np.nonzero(binom_mod_pow2_range(big - 1, 1) != 1)[0]
+    even_cells = np.nonzero(odd_row % 2 != 1)[0]
     if even_cells.size:
       return 'fail', {'cell': [big - 1, int(even_cells[0])], 'mod2': 0}
     return 'pass', observed
@@ -393,36 +380,32 @@ def verify_coeff_pair_sum2(k_range=range(2, 7),
                            l_range=range(3, 7)) -> CheckReport:
   '''Two chosen cells of row (l-1) * 2^(k-1) sum to 0 mod 2^l;
   hypotheses l >= 3 and k >= 2; columns are cyclic.'''
-  def case(k, l):
-    if l < 3 or k < 2:
-      return 'skip', 'hypothesis: needs l >= 3 and k >= 2'
-    n, mod = 2 ** k, 1 << l
+  def case(sys, k, l):
     row = (l - 1) * 2 ** (k - 1)
     s1 = l * 2 ** (k - 2) + 1
     s2 = l * 2 ** (k - 2) - 2 ** (k - 1) + 1
-    cells = _row(make_system(mod, n), row).tolist()
-    a, b = cells[(s1 - 1) % n], cells[(s2 - 1) % n]
-    if (a + b) % mod:
+    cells = _row(sys, row).tolist()
+    a, b = cells[(s1 - 1) % sys.n], cells[(s2 - 1) % sys.n]
+    if (a + b) % sys.m:
       return 'fail', {'row': row, 'columns': [s1, s2], 'cells': [a, b]}
     return 'pass', {'row': row, 'columns': [s1, s2]}
-  return _kl_sweep('coeff_pair_sum2', k_range, l_range, case)
+  return _pow2_sweep('coeff_pair_sum2', k_range, l_range, case, 2, 3,
+                     'l >= 3 and k >= 2')
 
 
 def verify_half_modulus_pivot(k_range=range(2, 7),
                               l_range=range(2, 7)) -> CheckReport:
   '''a(l * 2^(k-1), l * 2^(k-2) + 1) is exactly 2^(l-1) mod 2^l;
   hypotheses l >= 2 and k >= 2; the column is cyclic.'''
-  def case(k, l):
-    if l < 2 or k < 2:
-      return 'skip', 'hypothesis: needs l >= 2 and k >= 2'
-    sys = make_system(1 << l, 2 ** k)
+  def case(sys, k, l):
     row, col = l * 2 ** (k - 1), l * 2 ** (k - 2) + 1
     value = int(_row(sys, row)[(col - 1) % sys.n])
     if value != 1 << (l - 1):
       return 'fail', {'row': row, 'col': col, 'value': value,
                       'expected': 1 << (l - 1)}
     return 'pass', {'row': row, 'col': col, 'value': value}
-  return _kl_sweep('half_modulus_pivot', k_range, l_range, case)
+  return _pow2_sweep('half_modulus_pivot', k_range, l_range, case, 2, 2,
+                     'l >= 2 and k >= 2')
 
 
 # --- the runner --------------------------------------------------------
@@ -510,9 +493,7 @@ def summary_table(reports) -> str:
             'elapsed')
   rows = [header]
   for r in reports:
-    tally = {'pass': 0, 'fail': 0, 'skip': 0}
-    for case in r.cases:
-      tally[case.verdict] += 1
+    tally = Counter(case.verdict for case in r.cases)
     rows.append((r.check_id, _params_text(r.parameters), str(len(r.cases)),
                  str(tally['pass']), str(tally['fail']), str(tally['skip']),
                  r.verdict, f'{r.elapsed:.3f}s'))

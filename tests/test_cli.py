@@ -138,8 +138,25 @@ class TestOrbit:
     ('orbit --m 4 --n 4 --tuple 1,2,3,0 --vanishes', 'true\n'),
     ('orbit --m 3 --n 2 --tuple 1,0 --vanishes', 'false\n'),
     ('orbit --m 7 --n 5 --tuple 1,2,3,4,5 --vanishes', 'false\n'),
+    # Under either format the flag prints as its JSON spelling.
+    ('orbit --m 4 --n 4 --tuple 1,2,3,0 --vanishes --format json', 'true\n'),
+    ('orbit --m 4 --n 4 --tuple 1,2,3,0 --vanishes --format text', 'true\n'),
+    ('orbit --m 3 --n 2 --tuple 1,0 --vanishes --format json', 'false\n'),
+    ('orbit --m 3 --n 2 --tuple 1,0 --vanishes --format text', 'false\n'),
   ])
   def test_basic_and_vanishes_bytes_are_pinned(self, capsys, argv, out):
+    assert run_cli(capsys, *argv.split()) == (0, out, '')
+
+  @pytest.mark.parametrize('argv, out', [
+    # An empty tail still prints its label and the space after it.
+    ('orbit --m 4 --n 3 --tuple 0,2,2 --format text',
+     'len 0\nper 3\ntail \ncycle (0,2,2) (2,0,2) (2,2,0)\n'),
+    ('orbit --m 4 --n 3 --tuple 3,1,3 --format text',
+     'len 2\nper 3\ntail (3,1,3) (0,0,2)\ncycle (0,2,2) (2,0,2) (2,2,0)\n'),
+    ('orbit --m 4 --n 3 --tuple 0,2,2',
+     '{"len":0,"per":3,"tail":[],"cycle":[[0,2,2],[2,0,2],[2,2,0]]}\n'),
+  ])
+  def test_orbit_bytes_are_pinned(self, capsys, argv, out):
     assert run_cli(capsys, *argv.split()) == (0, out, '')
 
   @pytest.mark.parametrize('argv', [

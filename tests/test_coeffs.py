@@ -93,6 +93,21 @@ class TestTable:
       with pytest.raises(ParameterError, match='must be an integer'):
         call()
 
+  def test_bools_are_refused(self):
+    # A bool is an int to Python, but True is no row index: coeff_table
+    # used to return rows 0 and 1 for it.
+    sys = make_system(4, 4)
+    for call, message in [
+        (lambda: coeff_table(sys, True), 'row index'),
+        (lambda: coeff_at(sys, True, 1), 'row index'),
+        (lambda: apply_coeff_expansion(sys, (1, 2, 3, 0), False),
+         'iteration count'),
+        (lambda: binom_mod_pow2(True, 0, 2), 'upper index'),
+        (lambda: binom_mod_pow2(4, 2, True), 'modulus exponent')]:
+      with pytest.raises(ParameterError, match=f'^{message} must be an '
+                                               'integer >= [01], got '):
+        call()
+
   def test_cell_cap(self):
     with pytest.raises(CapExceededError):
       coeff_table(make_system(4, 4), 1 << 24)

@@ -50,6 +50,12 @@ class TestSystem:
     with pytest.raises(ParameterError):
       make_system(4, '3')
 
+  def test_rejects_bools(self):
+    # A bool is an int to Python; Z_4^True is not a system.
+    for m, n in [(4, True), (True, 3), (4, False)]:
+      with pytest.raises(ParameterError, match='must be an integer'):
+        make_system(m, n)
+
 
 class TestStep:
   def test_triple_system_steps(self):
@@ -90,6 +96,10 @@ class TestStep:
     sys = make_system(4, 2)
     with pytest.raises(ParameterError):
       ducci_iter(sys, (1, 1), -1)
+    with pytest.raises(ParameterError,
+                       match='^iteration count must be an integer >= 0, '
+                             'got True$'):
+      ducci_iter(sys, (1, 1), True)
 
   def test_validates_input(self):
     sys = make_system(4, 3)

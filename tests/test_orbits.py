@@ -200,7 +200,7 @@ class TestLenPer:
     lambda sys, cap: len_per_map(sys, max_states=cap),
     lambda sys, cap: build_graph(sys, max_nodes=cap),
   ])
-  @pytest.mark.parametrize('cap', [-1, 2.5, '64', None])
+  @pytest.mark.parametrize('cap', [-1, 2.5, '64', None, True])
   def test_caps_are_integers_at_least_zero(self, call, cap):
     with pytest.raises(ParameterError, match='state cap must be an integer'):
       call(make_system(4, 3), cap)
@@ -449,6 +449,17 @@ class TestEngine:
       (length + per) * 37, COEFF_CELL_CAP)
     assert info.value.required > COEFF_CELL_CAP
     assert peak < 4 << 20
+
+  def test_search_is_weighed_like_a_row(self):
+    # Past the opening walk, D^cap(u) is one row's products, min(cap + 1,
+    # n) * n cells: n = 2^12 fits the cell cap and n = 2^13 is refused
+    # before the search, where it used to step for seconds.
+    assert basic_len_per(make_system(2, 1 << 12)) == (4096, 1)
+    with pytest.raises(CapExceededError) as info:
+      basic_len_per(make_system(2, 1 << 13))
+    assert (info.value.required, info.value.cap) == (1 << 26, COEFF_CELL_CAP)
+    # An orbit that ends in the opening walk is never weighed.
+    assert vanishes(make_system(2, 1 << 13), (0,) * (1 << 13))
 
 
 class TestVanishing:

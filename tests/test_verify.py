@@ -183,6 +183,18 @@ class TestRunner:
                            'subgroup', 'preds', 'binom', 'sum1', 'sum2',
                            'pivot')
 
+  @pytest.mark.parametrize('name, check_id', zip(CHECK_NAMES, CHECK_IDS))
+  def test_each_name_runs_its_checks_default_sweep(self, name, check_id):
+    # The default ranges are written twice, in each verify_* signature and
+    # in its _CHECKS row; the two must sweep the same cases.
+    check = getattr(ducci.verify, f'verify_{check_id}')
+    if name in ('subgroup', 'preds'):
+      direct = [check(m, n) for m, n in DEFAULT_SYSTEMS]
+    else:
+      direct = [check()]
+    assert (sorted(reports_to_jsonl([r]) for r in run_checks([name]))
+            == sorted(reports_to_jsonl([r]) for r in direct))
+
   def test_reports_are_sorted(self):
     reports = run_checks(['subgroup', 'main'], systems=[(4, 2), (3, 2)],
                          k_max=2, l_max=2)

@@ -54,20 +54,26 @@ _JSON_SEP = (',', ':')
 _RANGE_ENDS = ('k_min', 'k_max', 'l_min', 'l_max', 'j_min', 'j_max', 'n_max')
 
 
+def _pair(args: argparse.Namespace, a: str, b: str) -> tuple[int, int] | None:
+  # The values of flags --a and --b, which go together; None when neither.
+  pair = getattr(args, a), getattr(args, b)
+  if pair == (None, None):
+    return None
+  if None in pair:
+    raise ParameterError(f'--{a} and --{b} go together')
+  return pair
+
+
 def _system_from_args(args: argparse.Namespace) -> DucciSystem:
   direct = args.m is not None or args.n is not None
-  exponent = args.k is not None or args.l is not None
-  if direct == exponent:
+  if direct == (args.k is not None or args.l is not None):
     raise ParameterError('name the system with either --m/--n or --k/--l')
   if direct:
-    if args.m is None or args.n is None:
-      raise ParameterError('--m and --n go together')
-    return make_system(args.m, args.n)
-  if args.k is None or args.l is None:
-    raise ParameterError('--k and --l go together')
-  if args.k < 0 or args.l < 1:
+    return make_system(*_pair(args, 'm', 'n'))
+  k, l = _pair(args, 'k', 'l')
+  if k < 0 or l < 1:
     raise ParameterError('need k >= 0 and l >= 1')
-  return make_system(2 ** args.l, 2 ** args.k)
+  return make_system(2 ** l, 2 ** k)
 
 
 def _tuple_from_args(sys_: DucciSystem, text: str) -> ResidueTuple:
@@ -216,14 +222,10 @@ def _cmd_graph(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-  systems = None
-  if args.m is not None or args.n is not None:
-    if args.m is None or args.n is None:
-      raise ParameterError('--m and --n go together')
-    systems = [(args.m, args.n)]
+  pair = _pair(args, 'm', 'n')
   reports = run_checks(
     [args.check], **{end: getattr(args, end) for end in _RANGE_ENDS},
-    systems=systems)
+    systems=None if pair is None else [pair])
   if args.format == 'text':
     _emit(summary_table(reports), args.output)
   else:

@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import accumulate
 from typing import Sequence
 
@@ -139,8 +138,7 @@ def _flip(x: Sequence[int]) -> list[int]:
 
 def _norm_col(n: int, s: int) -> int:
   # Column indices are cyclic: s and s + n name the same column.
-  if not isinstance(s, int):
-    raise ParameterError(f'column index must be an integer, got {s!r}')
+  _check_int(s, 'column index', None)
   return (s - 1) % n + 1
 
 
@@ -154,9 +152,7 @@ class CoeffTable:
 
   def at(self, r: int, s: int) -> int:
     '''a(r, s) with the column index normalized cyclically into 1..n.'''
-    if not isinstance(r, int) or not 0 <= r <= self.r_max:
-      raise ParameterError(
-        f'row index must be an integer in 0..{self.r_max}, got {r!r}')
+    _check_int(r, 'row index', 0, self.r_max)
     return self.rows[r][_norm_col(self.sys.n, s) - 1]
 
   def to_csv(self) -> str:
@@ -170,7 +166,7 @@ class CoeffTable:
 def coeff_table(sys: DucciSystem, r_max: int) -> CoeffTable:
   '''Rows 0..r_max of the coefficient table, residues mod m.'''
   _check_int(r_max, 'row index')
-  _check_cells((r_max + 1) * sys.n)
+  _check_cells((r_max + 1) * sys.n, 'table', _dtype(sys))
   rows = _rows(sys, _row(sys, 0), r_max + 1).tolist()
   return CoeffTable(sys, r_max, tuple(map(tuple, rows)))
 
@@ -194,7 +190,7 @@ def apply_coeff_expansion(sys: DucciSystem, u: Sequence[int],
 
 def _half_turn(sys: DucciSystem) -> int:
   # 2^(k-1) for n = 2^k: the row and column step of the half-turn views.
-  if sys.pow2_n is None or sys.pow2_n < 1:
+  if sys.n < 2 or sys.n & (sys.n - 1):
     raise ParameterError(f'views need n = 2^k with k >= 1, got n = {sys.n}')
   return sys.n // 2
 
@@ -238,12 +234,6 @@ def _odd_prefix(size: int, l: int) -> Sequence[int]:
   return table
 
 
-@lru_cache(maxsize=None)
-def _period_prefix(l: int) -> tuple[int, ...]:
-  # One full period of odd residues, for l <= 16: at most 2^16 cells.
-  return tuple(_odd_prefix(1 << l, l).tolist())
-
-
 def _odd_factorial(big: int, l: int, table: Sequence[int]) -> int:
   # Odd part of big! mod 2^l: the odd t <= big, which are (big >> l)
   # periods of odd residues and the prefix up to big mod 2^l, times the
@@ -259,9 +249,7 @@ def _odd_factorial(big: int, l: int, table: Sequence[int]) -> int:
 def _check_binom_args(big: int, small: int, l: int) -> None:
   _check_int(l, 'modulus exponent', 1)
   _check_int(big, 'upper index')
-  if not isinstance(small, int) or not 0 <= small <= big:
-    raise ParameterError(
-      f'lower index must be an integer in 0..{big}, got {small!r}')
+  _check_int(small, 'lower index', 0, big)
 
 
 def binom_mod_pow2(big: int, small: int, l: int) -> int:
@@ -277,7 +265,7 @@ def binom_mod_pow2(big: int, small: int, l: int) -> int:
   if carries >= l:
     return 0
   mod = 1 << l
-  table = _period_prefix(l) if l <= 16 else _odd_prefix(min(big + 1, mod), l)
+  table = _odd_prefix(min(big + 1, mod), l)
   num, den1, den2 = (_odd_factorial(x, l, table) for x in (big, small, rest))
   return (num * pow(den1 * den2, -1, mod) << carries) % mod
 

@@ -14,7 +14,7 @@ States are plain `tuple[int, ...]` with entries already reduced into
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .errors import ParameterError
@@ -28,36 +28,28 @@ __all__ = [
 ]
 
 
-def _check_int(value, name: str, low: int = 0) -> None:
-  # A bool is an int to Python but never a count, size or index here.
-  if not isinstance(value, int) or isinstance(value, bool) or value < low:
-    raise ParameterError(f'{name} must be an integer >= {low}, got {value!r}')
-
-
-def _pow2_exponent(value: int) -> int | None:
-  if value >= 1 and value & (value - 1) == 0:
-    return value.bit_length() - 1
-  return None
+def _check_int(value, name: str, low: int | None = 0,
+               high: int | None = None) -> None:
+  # A bool is an int to Python but never a count, size, index or scalar
+  # here.  low=None is unbounded below; high=None unbounded above.
+  if (not isinstance(value, int) or isinstance(value, bool)
+      or low is not None and value < low
+      or high is not None and value > high):
+    bound = ('' if low is None else f' >= {low}' if high is None
+             else f' in {low}..{high}')
+    raise ParameterError(f'{name} must be an integer{bound}, got {value!r}')
 
 
 @dataclass(frozen=True)
 class DucciSystem:
-  '''Ambient parameters: modulus m >= 2 and tuple length n >= 1.
-
-  `pow2_m` / `pow2_n` hold the exponent when the corresponding value is
-  a power of two and are None otherwise (`pow2_n` is 0 for n = 1).
-  '''
+  '''Ambient parameters: modulus m >= 2 and tuple length n >= 1.'''
 
   m: int
   n: int
-  pow2_m: int | None = field(init=False)
-  pow2_n: int | None = field(init=False)
 
   def __post_init__(self):
     _check_int(self.m, 'modulus', 2)
     _check_int(self.n, 'tuple length', 1)
-    object.__setattr__(self, 'pow2_m', _pow2_exponent(self.m))
-    object.__setattr__(self, 'pow2_n', _pow2_exponent(self.n))
 
   @property
   def state_count(self) -> int:
@@ -134,8 +126,7 @@ def add(sys: DucciSystem, u: Sequence[int], v: Sequence[int]) -> ResidueTuple:
 
 def scale(sys: DucciSystem, lam: int, u: Sequence[int]) -> ResidueTuple:
   '''Entrywise scalar multiple mod m; the scalar itself is reduced mod m.'''
-  if not isinstance(lam, int):
-    raise ParameterError(f'scalar must be an integer, got {lam!r}')
+  _check_int(lam, 'scalar', None)
   cur = validate_tuple(sys, u)
   lam %= sys.m
   return tuple((lam * x) % sys.m for x in cur)

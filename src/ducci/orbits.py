@@ -136,7 +136,10 @@ def _len_per(sys: DucciSystem, u: ResidueTuple, cap: int,
   seen, k = walk(v, min(_OPENING, cap), [] if walked is None else walked)
   if k in seen:
     return seen[k], len(seen) - seen[k]
-  _check_cells(min(cap + 1, sys.n) * sys.n, 'orbit search', v.dtype)
+  text = format_tuple(u) if len(u) <= 8 else (
+    format_tuple(u[:4])[:-1] + ',...,' + format_tuple(u[-4:])[1:])
+  _check_cells(min(cap + 1, sys.n) * sys.n,
+               f'orbit search for {text} in {sys}', v.dtype)
   z = y = _power(sys, cap, v)
   baby, k = walk(y, b, [])
   p = len(baby) - baby[k] if k in baby else None
@@ -153,8 +156,6 @@ def _len_per(sys: DucciSystem, u: ResidueTuple, cap: int,
       if (k := key(z)) in baby:
         p = i * b - baby[k]
         break
-  text = format_tuple(u) if len(u) <= 8 else (
-    format_tuple(u[:4])[:-1] + ',...,' + format_tuple(u[-4:])[1:])
   refused = CapExceededError(
     f'orbit of {text} in {sys} exceeds {cap} states',
     required=cap + 1, cap=cap)
@@ -184,7 +185,7 @@ def orbit_summary(sys: DucciSystem, u: Sequence[int], *,
   cur, walked = validate_tuple(sys, u), []
   length, per = _len_per(sys, cur, max_states, walked)
   count = length + per
-  _check_cells(count * sys.n, f'orbit in {sys}')
+  _check_cells(count * sys.n, f'orbit in {sys}', _dtype(sys))
   if count <= len(walked):
     rows = np.array(walked[:count])
   else:

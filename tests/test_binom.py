@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from ducci import (CapExceededError, ParameterError, binom_mod_pow2,
                    binom_mod_pow2_range)
-from ducci.coeffs import _odd_factorial, _odd_prefix, _period_prefix
+from ducci.coeffs import _odd_factorial, _odd_prefix
 from ducci.limits import COEFF_CELL_CAP
 
 
@@ -76,14 +76,11 @@ class TestScalar:
       fact = math.factorial(big)
       odd = fact >> ((fact & -fact).bit_length() - 1)
       for l in (1, 2, 3, 7, 20, 64, 65):
-        tables = [_odd_prefix(min(big + 1, 1 << l), l)]
-        if l <= 16:
-          tables.append(_period_prefix(l))
-        for table in tables:
-          assert _odd_factorial(big, l, table) == odd % (1 << l), (big, l)
+        table = _odd_prefix(min(big + 1, 1 << l), l)
+        assert _odd_factorial(big, l, table) == odd % (1 << l), (big, l)
 
   def test_large_exponent_table_is_capped(self):
-    # Above l = 16 the odd-residue table has min(N + 1, 2^l) cells.
+    # The odd-residue table has min(N + 1, 2^l) cells.
     big = 1 << 25
     with pytest.raises(CapExceededError) as info:
       binom_mod_pow2(big, big >> 1, 30)
@@ -100,8 +97,8 @@ class TestScalar:
     assert binom_mod_pow2(big - 1, 3, 100) == math.comb(big - 1, 3) % (1 << 100)
 
   def test_large_exponent_table_is_one_uint64_pass(self):
-    # Above l = 16 each call builds its own table of min(N + 1, 2^l)
-    # cells: 8 bytes each, not a Python int apiece.
+    # Each call builds its own table of min(N + 1, 2^l) cells: 8 bytes
+    # each, not a Python int apiece.
     big = (1 << 20) + 5
     for _ in range(2):
       tracemalloc.start()
@@ -112,6 +109,18 @@ class TestScalar:
         tracemalloc.stop()
       assert got == math.comb(big, 3) % (1 << 30)
       assert peak < 12 << 20
+
+  def test_scalar_keeps_nothing(self):
+    # Every l builds its odd-residue table per call and drops it, so no
+    # module-level cache grows with the l that callers have used.
+    tracemalloc.start()
+    try:
+      for l in range(1, 17):
+        binom_mod_pow2(2 ** 40 + 3, 2 ** 39, l)
+      kept = tracemalloc.get_traced_memory()[0]
+    finally:
+      tracemalloc.stop()
+    assert kept < 64 << 10
 
   def test_large_exponent_scalar_path(self):
     # l beyond the vectorized table limit still works scalar-wise.
@@ -126,6 +135,11 @@ class TestScalar:
       binom_mod_pow2(4, 5, 2)
     with pytest.raises(ParameterError):
       binom_mod_pow2(4, -1, 2)
+    # True is no lower index.
+    with pytest.raises(ParameterError,
+                       match=r'^lower index must be an integer in 0\.\.5, '
+                             'got True$'):
+      binom_mod_pow2(5, True, 3)
 
 
 class TestRange:

@@ -172,6 +172,13 @@ class TestOrbit:
            '1000 states\n')
     assert run_cli(capsys, *argv.split()) == (3, '', err)
 
+  def test_search_refusal_names_orbit_and_system(self, capsys):
+    # Past the opening walk Z_2^8192 is weighed like a row, 2^13 * 2^13
+    # cells, and refused before the search.
+    err = ('error: orbit search for (0,0,0,0,...,0,0,0,1) in Z_2^8192 of '
+           f'67108864 cells exceeds the {COEFF_CELL_CAP}-cell cap\n')
+    assert run_cli(capsys, 'basic', '--k', '13', '--l', '1') == (3, '', err)
+
   def test_short_refusal_names_the_whole_tuple(self, capsys):
     assert run_cli(capsys, 'orbit', '--m', '7', '--n', '5', '--tuple',
                    '1,2,3,4,5', '--max-states', '10') == (

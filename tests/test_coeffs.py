@@ -107,6 +107,13 @@ class TestTable:
       with pytest.raises(ParameterError, match=f'^{message} must be an '
                                                'integer >= [01], got '):
         call()
+    # Nor a column index, nor a row of a table.
+    table = coeff_table(sys, 6)
+    for call, message in [
+        (lambda: coeff_at(sys, 3, True), 'column index must be an integer'),
+        (lambda: table.at(True, 1), 'row index must be an integer in 0..6')]:
+      with pytest.raises(ParameterError, match=f'^{message}, got True$'):
+        call()
 
   def test_cell_cap(self):
     with pytest.raises(CapExceededError):
@@ -142,6 +149,10 @@ class TestTable:
     refuses(lambda: apply_coeff_expansion(big, basic_tuple(big), 512),
             513 * 513 * 64)
     assert coeff_at(make_system(m, 512), 511, 256) == math.comb(511, 255) % m
+    # A table weighs them alike: r_max = 4095 fills the cap at n = 64.
+    wide = make_system(m, 64)
+    refuses(lambda: coeff_table(wide, 262143), 1 << 30, 'table')
+    assert coeff_table(wide, 4095).at(4095, 1) == coeff_at(wide, 4095, 1)
 
   def test_single_rows_ignore_the_table_cap(self):
     # Past r = COEFF_CELL_CAP / n a table is refused, one row is not.  The

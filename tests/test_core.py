@@ -32,13 +32,6 @@ class TestSystem:
     assert sys.state_count == 64
     assert str(sys) == 'Z_4^3'
 
-  def test_pow2_exponents(self):
-    assert make_system(8, 4).pow2_m == 3
-    assert make_system(8, 4).pow2_n == 2
-    assert make_system(6, 1).pow2_m is None
-    assert make_system(6, 1).pow2_n == 0
-    assert make_system(2, 7).pow2_n is None
-
   @pytest.mark.parametrize('m,n', [(1, 3), (0, 3), (-2, 3), (4, 0), (4, -1)])
   def test_rejects_bad_parameters(self, m, n):
     with pytest.raises(ParameterError):
@@ -55,6 +48,10 @@ class TestSystem:
     for m, n in [(4, True), (True, 3), (4, False)]:
       with pytest.raises(ParameterError, match='must be an integer'):
         make_system(m, n)
+    # Nor is True a scalar.
+    with pytest.raises(ParameterError,
+                       match='^scalar must be an integer, got True$'):
+      scale(make_system(4, 3), True, (3, 1, 3))
 
 
 class TestStep:

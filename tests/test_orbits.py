@@ -450,6 +450,20 @@ class TestEngine:
     assert info.value.required > COEFF_CELL_CAP
     assert peak < 4 << 20
 
+  def test_stored_python_int_cells_weigh_64(self):
+    # 3 * 2^62 does not divide 2^64, so past the int64 bound its cells
+    # are Python ints.  3 * e_n vanishes like e_n mod 2^62, after
+    # 63 * n / 2 steps: 2017 states of 64 cells are stored, 4033 of 128
+    # are refused before their tuples are built.
+    m = 3 << 62
+    assert orbit_summary(make_system(m, 64), (0,) * 63 + (3,)).len == 2016
+    sys, u = make_system(m, 128), (0,) * 127 + (3,)
+    assert orbit_len_per_lowmem(sys, u) == (4032, 1)
+    with pytest.raises(CapExceededError) as info:
+      orbit_summary(sys, u)
+    assert (info.value.required, info.value.cap) == (4033 * 128 * 64,
+                                                     COEFF_CELL_CAP)
+
   def test_search_is_weighed_like_a_row(self):
     # Past the opening walk, D^cap(u) is one row's products, min(cap + 1,
     # n) * n cells: n = 2^12 fits the cell cap and n = 2^13 is refused
@@ -458,6 +472,9 @@ class TestEngine:
     with pytest.raises(CapExceededError) as info:
       basic_len_per(make_system(2, 1 << 13))
     assert (info.value.required, info.value.cap) == (1 << 26, COEFF_CELL_CAP)
+    assert str(info.value) == (
+      'orbit search for (0,0,0,0,...,0,0,0,1) in Z_2^8192 of 67108864 '
+      f'cells exceeds the {COEFF_CELL_CAP}-cell cap')
     # An orbit that ends in the opening walk is never weighed.
     assert vanishes(make_system(2, 1 << 13), (0,) * (1 << 13))
 

@@ -83,14 +83,12 @@ def _times(sys: DucciSystem, a: np.ndarray, b: np.ndarray) -> np.ndarray:
   return _mod(sys, head)
 
 
-def _times_1x(sys: DucciSystem, v: np.ndarray, back=None) -> np.ndarray:
+def _times_1x(sys: DucciSystem, v: np.ndarray) -> np.ndarray:
   # (1 + x) * v along the first axis: v plus v moved up one place
-  # (x^n = 1), one longer while v holds fewer than n.  Frequent callers
-  # pass back = arange(-1, n - 1).  The first axis, not the last, keeps
-  # the one-state step a plain index, which the orbit walks run per step.
+  # (x^n = 1), one longer while v holds fewer than n.
   if len(v) < sys.n:
     v = np.concatenate((v, np.zeros(1, v.dtype)))
-  return _mod(sys, v + v[np.arange(-1, len(v) - 1) if back is None else back])
+  return _mod(sys, v + v[np.arange(-1, len(v) - 1)])
 
 
 def _power(sys: DucciSystem, r: int, v: Sequence[int]) -> np.ndarray:
@@ -115,9 +113,8 @@ def _rows(sys: DucciSystem, v: np.ndarray, count: int) -> np.ndarray:
   grid[0, 0] = v
   for i in range(1, len(grid)):
     grid[i, 0] = _times(sys, grid[i - 1, 0], jump)
-  back = np.arange(-1, sys.n - 1)
   for j in range(1, width):
-    grid[:, j] = _times_1x(sys, grid[:, j - 1].T, back).T
+    grid[:, j] = _times_1x(sys, grid[:, j - 1].T).T
   return grid.reshape(-1, sys.n)[:count]
 
 
@@ -167,8 +164,16 @@ def coeff_table(sys: DucciSystem, r_max: int) -> CoeffTable:
   '''Rows 0..r_max of the coefficient table, residues mod m.'''
   _check_int(r_max, 'row index')
   _check_cells((r_max + 1) * sys.n, 'table', _dtype(sys))
-  rows = _rows(sys, _row(sys, 0), r_max + 1).tolist()
-  return CoeffTable(sys, r_max, tuple(map(tuple, rows)))
+  # Blocks of about (r_max + 1)^(3/4) rows, each from its first row by
+  # _rows and made tuples before the next, so no whole grid or list of
+  # lists sits beside the tuples.
+  width = math.isqrt(r_max) + 1
+  size = width * (math.isqrt(width) + 1)
+  first, jump, rows = _row(sys, 0), _power(sys, size, [1]), []
+  for start in range(0, r_max + 1, size):
+    rows.extend(map(tuple, _rows(sys, first, min(size, r_max + 1 - start)).tolist()))
+    first = _times(sys, first, jump)
+  return CoeffTable(sys, r_max, tuple(rows))
 
 
 def coeff_at(sys: DucciSystem, r: int, s: int) -> int:

@@ -5,7 +5,8 @@ periodic.  `len` is the number of steps before the orbit first enters
 its cycle (the pre-period) and `per` is the cycle length, i.e. the
 smallest a, b with D^(a+b)(u) = D^a(u).  A state "vanishes" when its
 cycle is exactly {(0, ..., 0)}.  Whether len + per fits a cap is decided
-on coefficient arrays, in O(sqrt(cap)) steps and memory, storing no state.
+on coefficients packed into ints, in O(sqrt(cap)) steps and memory,
+storing no state.
 
 Naming note: throughout this package L_m(n) is the pre-period of the
 basic tuple (0, ..., 0, 1) in Z_m^n and P_m(n) its period, with the
@@ -25,8 +26,7 @@ from typing import Sequence
 import numpy as np
 
 from . import _statespace
-from .coeffs import (_check_cells, _dtype, _flip, _mod, _power, _rows,
-                     _times, _times_1x)
+from .coeffs import _check_cells, _dtype, _flip, _mod, _power, _rows, _times
 from .core import (DucciSystem, ResidueTuple, _check_int, basic_tuple,
                    format_tuple, validate_tuple)
 from .errors import CapExceededError
@@ -97,75 +97,111 @@ class KernelSet:
 
 # States the opening walk takes before the search.  Orbits this short
 # end in it; every longer orbit and every refusal pays for it on top of
-# the search.  On the point_queries benchmark's orbit queries 16 to 32
-# timed alike and 8, 12 and 48 slower; refusals set the latency tail,
-# so the shortest of those.
+# the search.  With packed steps, over the 360 refused point_queries
+# orbit queries of seeds 4001-4020 (sums of per-query minima of 15),
+# openings of 16, 24, 32 and 48 took 200, 205, 206 and 208 ms, while
+# the 360 fitting ones gained at most 2% at 32; refusals set the
+# latency tail, so 16.
 _OPENING = 16
+
+
+def _lane_bytes(sys: DucciSystem) -> int:
+  # W / 8 for lanes of W bits, W the least multiple of 8 with
+  # m <= 2^(W-1): a pair sum, at most 2m - 2, then fits its lane.
+  return ((sys.m - 1).bit_length() + 8) // 8
+
+
+def _pack(a: np.ndarray, size: int) -> int:
+  # Cell i of a in lane i, `size` bytes, of one int.  A lane of 1, 2, 4
+  # or 8 bytes is a numpy dtype; other widths go cell by cell.
+  if size in (1, 2, 4, 8):
+    return int.from_bytes(a.astype(f'<u{size}').tobytes(), 'little')
+  return int.from_bytes(b''.join(int(c).to_bytes(size, 'little')
+                                 for c in a.tolist()), 'little')
+
+
+def _lane_step(w: int, lanes: tuple[int, ...]) -> int:
+  # (1 + x) * w on packed lanes: w plus w rotated up one lane (x^n = 1),
+  # less m in each lane that reached m.  Adding 2^(W-1) - m to every
+  # lane sets a lane's top bit exactly then, and no lane carries.
+  width, wrap, full, ones, bias, m = lanes
+  w += (w << width) & full | w >> wrap
+  return w - ((w + bias) >> width - 1 & ones) * m
 
 
 def _len_per(sys: DucciSystem, u: ResidueTuple, cap: int,
              walked: list | None = None) -> tuple[int, int]:
   '''(len, per) of the orbit of u if len + per <= cap, else refuse.
 
-  D^r is multiplication by (1+x)^r in Z_m[x]/(x^n - 1), u_(-j) at x^j;
-  states stay such arrays, keyed by their bytes (by their cells when
-  those are Python ints), and a refusal's message names u itself.
-  Orbits of up to _OPENING states end in a walk, whose arrays are left
-  in `walked` when given.  Past that, y = D^cap(u) is on the cycle iff
-  len <= cap.  With b = ceil(sqrt(cap)), baby steps D^j(y), j < b, and
-  giant steps (1+x)^(ib) y meet first p steps apart: p = per if y is
-  on the cycle, else a multiple of it.  Either way u and D^p(u) meet
-  after len lockstep steps, so len + per <= cap iff len + p <= cap.
-  Past b lockstep steps, D^(cap-p)(u) == y decides at once whether
-  len <= cap - p, so a refusal stays within O(sqrt(cap)) steps.
+  D^r is multiplication by (1+x)^r in Z_m[x]/(x^n - 1), u_(-j) at x^j.
+  Every state walked is one int, coefficient j in lane j of W bits (see
+  _lane_bytes), stepped by _lane_step and its own dict key; powers and
+  giant steps are numpy products, each packed once.  A refusal's message
+  names u itself.  Orbits of up to _OPENING states end in a walk, whose
+  ints are left in `walked` when given.  Past that, y = D^cap(u) is on
+  the cycle iff len <= cap.  With b = ceil(sqrt(cap)), baby steps
+  D^j(y), j < b, and giant steps (1+x)^(ib) y meet first p steps apart:
+  p = per if y is on the cycle, else a multiple of it.  Either way u
+  and D^p(u) meet after len lockstep steps, so len + per <= cap iff
+  len + p <= cap.  Past b lockstep steps, D^(cap-p)(u) == y decides at
+  once whether len <= cap - p, so a refusal stays within O(sqrt(cap))
+  steps.
   '''
   _check_int(cap, 'state cap')
   b = math.isqrt(cap - 1) + 1 if cap > 0 else 0
-  v, back = np.array(_flip(u), _dtype(sys)), np.arange(-1, sys.n - 1)
-  key = np.ndarray.tobytes if v.dtype != object else lambda w: tuple(w.tolist())
+  m, n, size = sys.m, sys.n, _lane_bytes(sys)
+  width, full = 8 * size, (1 << 8 * size * n) - 1
+  ones = full // ((1 << width) - 1)
+  lanes = width, width * (n - 1), full, ones, ((1 << width - 1) - m) * ones, m
+  v = np.array(_flip(u), _dtype(sys))
+  start = _pack(v, size)
 
-  def walk(w: np.ndarray, limit: int, rows: list) -> tuple[dict, object]:
-    # Keys of w, D(w), ... by index until a repeat or `limit` keys, the
-    # arrays appended to rows; the next key.
+  def walk(w: int, limit: int) -> tuple[dict, int]:
+    # w, D(w), ... by index until a repeat or `limit` states; the next.
     seen: dict = {}
-    while (k := key(w)) not in seen and len(seen) < limit:
-      seen[k] = len(seen)
-      rows.append(w)
-      w = _times_1x(sys, w, back)
-    return seen, k
-  seen, k = walk(v, min(_OPENING, cap), [] if walked is None else walked)
-  if k in seen:
-    return seen[k], len(seen) - seen[k]
+    for i in range(limit):
+      if seen.setdefault(w, i) != i:
+        break
+      w = _lane_step(w, lanes)
+    return seen, w
+  seen, w = walk(start, min(_OPENING, cap))
+  if w in seen:
+    if walked is not None:
+      walked.extend(seen)
+    return seen[w], len(seen) - seen[w]
   text = format_tuple(u) if len(u) <= 8 else (
     format_tuple(u[:4])[:-1] + ',...,' + format_tuple(u[-4:])[1:])
-  _check_cells(min(cap + 1, sys.n) * sys.n,
+  _check_cells(min(cap + 1, n) * n,
                f'orbit search for {text} in {sys}', v.dtype)
-  z = y = _power(sys, cap, v)
-  baby, k = walk(y, b, [])
-  p = len(baby) - baby[k] if k in baby else None
+  z = _power(sys, cap, v)
+  baby, w = walk(y := _pack(z, size), b)
+  p = len(baby) - baby[w] if w in baby else None
   if p is None:
     giant = _power(sys, b, [1])
-    if sys.n <= b:
+    if n <= b:
       # (1+x)^b has all n coefficients; a giant step is one product with
-      # their circulant, no more cells than the b baby keys hold.  Past
+      # their circulant, no more cells than the b baby keys hold, and in
+      # float64 (BLAS) when every sum of n products is below 2^53.  Past
       # that, convolving with its b + 1 coefficients is cheaper.
-      cols = np.arange(sys.n)
-      giant = giant[(cols[:, None] - cols) % sys.n]
+      cols = np.arange(n)
+      giant = giant[(cols[:, None] - cols) % n]
+      if n * (m - 1) ** 2 < 1 << 53:
+        giant, z = giant.astype(np.float64), z.astype(np.float64)
     for i in range(1, b + 1):
       z = _mod(sys, giant.dot(z)) if giant.ndim == 2 else _times(sys, z, giant)
-      if (k := key(z)) in baby:
-        p = i * b - baby[k]
+      if (w := _pack(z, size)) in baby:
+        p = i * b - baby[w]
         break
   refused = CapExceededError(
     f'orbit of {text} in {sys} exceeds {cap} states',
     required=cap + 1, cap=cap)
   if p is None or p > cap:
     raise refused
-  ahead, length, w = _power(sys, p, v), 0, v
-  while key(w) != key(ahead):
-    if length == b and key(_power(sys, cap - p, v)) != key(y):
+  ahead, length, w = _pack(_power(sys, p, v), size), 0, start
+  while w != ahead:
+    if length == b and _pack(_power(sys, cap - p, v), size) != y:
       raise refused
-    w, ahead = _times_1x(sys, w, back), _times_1x(sys, ahead, back)
+    w, ahead = _lane_step(w, lanes), _lane_step(ahead, lanes)
     length += 1
   if length + p > cap:
     raise refused
@@ -184,12 +220,14 @@ def orbit_summary(sys: DucciSystem, u: Sequence[int], *,
   '''
   cur, walked = validate_tuple(sys, u), []
   length, per = _len_per(sys, cur, max_states, walked)
-  count = length + per
+  count, size = length + per, _lane_bytes(sys)
   _check_cells(count * sys.n, f'orbit in {sys}', _dtype(sys))
-  if count <= len(walked):
-    rows = np.array(walked[:count])
+  if walked and size in (1, 2, 4, 8):
+    rows = np.frombuffer(b''.join(w.to_bytes(size * sys.n, 'little')
+                                  for w in walked[:count]), f'<u{size}')
+    rows = rows.reshape(count, sys.n)
   else:
-    rows = _rows(sys, walked[0], count)
+    rows = _rows(sys, np.array(_flip(cur), _dtype(sys)), count)
   states = list(map(tuple, rows[:, -np.arange(sys.n)].tolist()))
   return OrbitSummary(
     len=length,

@@ -166,6 +166,19 @@ class TestTable:
       assert apply_coeff_expansion(sys, u, r) == want
     assert engine_row(sys, r) == want[::-1]
 
+  def test_table_peak_is_about_its_tuples(self):
+    # The rows kept are 8.8 bytes a cell (pointers to small ints); the
+    # int64 grid and lists they came from peaked at 17.8 when whole.
+    sys, r_max = make_system(7, 64), (1 << 14) - 1
+    tracemalloc.start()
+    try:
+      table = coeff_table(sys, r_max)
+      peak = tracemalloc.get_traced_memory()[1]
+    finally:
+      tracemalloc.stop()
+    assert table.rows[r_max] == tuple(engine_row(sys, r_max))
+    assert peak / ((r_max + 1) * 64) < 12
+
   def test_csv_snapshot(self):
     csv = coeff_table(make_system(4, 2), 2).to_csv()
     assert csv == ('r,s,value\n'

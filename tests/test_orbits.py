@@ -339,10 +339,20 @@ class TestEngine:
   @pytest.mark.parametrize('m,n,u,dtype', [
     (2 ** 63 - 1, 1, (2 ** 63 - 2,), object),
     (10 ** 19 + 7, 3, (1, 10 ** 19 + 6, 0), object),
-    (2 ** 64, 3, (0, 0, 1), np.uint64)])
+    (2 ** 64, 3, (0, 0, 1), np.uint64),
+    *((m, 4, (m - 1, m - 1, 1, 0), dtype) for m, dtype in [
+      (2, np.int64), (128, np.int64), (129, np.int64), (2 ** 15, np.int64),
+      (2 ** 15 + 1, np.int64), (2 ** 31, np.uint64), (2 ** 31 + 1, object),
+      (2 ** 63 - 1, object), (2 ** 63, np.uint64), (2 ** 64, np.uint64),
+      (2 ** 70, object)]),
+    (10 ** 19 + 7, 3, (10 ** 19 + 6, 10 ** 19 + 6, 2), object)])
   def test_big_moduli_at_caps_around_their_orbit(self, m, n, u, dtype):
-    # The bytes of an object array's cells are pointers to Python ints,
-    # so equal states would differ as bytes keys; uint64 cells are values.
+    # States are packed in lanes of W bits, the least multiple of 8 with
+    # m <= 2^(W-1): W goes 8 -> 16 past 128, 24 past 2^15, 40 past 2^31
+    # and 72 past 2^63, and m = 2^(W-1) fills a lane.  The orbits of
+    # (m-1, m-1, 1, 0) sum pairs to exactly m and 2m - 2; past 128 those
+    # of odd m have per > b at cap len + per, so giant steps decide, in
+    # every cell dtype.
     sys = make_system(m, n)
     assert _power(sys, 0, [1]).dtype == dtype
     truth = dict_walk(sys, u, 5000)
@@ -355,17 +365,25 @@ class TestEngine:
     (2, 21, None, np.int64),                          # convolution, n > b
     (2 ** 64, 3, (0, 0, 2 ** 49), np.uint64),         # nothing to reduce
     (2 ** 33, 5, (0, 0, 0, 0, 2 ** 30), np.uint64),
-    (10 ** 19 + 7, 3, (0, 0, (10 ** 19 + 7) // 191), object)])
+    (10 ** 19 + 7, 3, (0, 0, (10 ** 19 + 7) // 191), object),
+    (48912491, 3, None, np.int64),          # n(m-1)^2 = 0.80 * 2^53: float64
+    (48912491, 4, None, np.int64),          # 1.06 * 2^53: int64
+    (536903681, 4, None, np.int64)])        # 128 * 2^53
   def test_giant_steps_at_caps_around_their_orbit(self, m, n, u, dtype):
-    # per > b = ceil(sqrt(cap)) at cap len + per: the b baby steps from
-    # D^cap(u), on the cycle, see no repeat, so giant steps find per.
+    # per > b = ceil(sqrt(cap)) at caps len + per and (per - 1)^2: the b
+    # baby steps from D^cap(u), on the cycle, see no repeat, so giant
+    # steps find per.  At the larger cap (1+x)^b has cells of every size.
+    # Circulant products run in float64 below n(m-1)^2 = 2^53, and in
+    # int64 from it on, where float64 sums would round.  48912491 and
+    # 536903681, prime factors of 2^55 + 1 and 2^58 + 1, have short
+    # orbits of unstructured cells.
     sys = make_system(m, n)
     u = u or basic_tuple(sys)
     assert _dtype(sys) == dtype
     truth = dict_walk(sys, u, 5000)
     count = sum(truth)
     assert count > _OPENING and truth[1] > math.isqrt(count - 1) + 1
-    for cap in (count - 1, count):
+    for cap in (count - 1, count, (truth[1] - 1) ** 2):
       check_engine(sys, u, cap, truth)
     assert_replays(sys, u, orbit_summary(sys, u, max_states=count), truth)
 
@@ -404,14 +422,14 @@ class TestEngine:
     # is refused.  Baby and giant steps can still meet, and then the
     # lockstep of u and D^p(u) stops after b steps, not after len.
     sys = make_system(2 ** 70, 3)
-    steps, step = [], ducci.orbits._times_1x
-    monkeypatch.setattr(ducci.orbits, '_times_1x',
+    steps, step = [], ducci.orbits._lane_step
+    monkeypatch.setattr(ducci.orbits, '_lane_step',
                         lambda *args: steps.append(1) or step(*args))
     for cap in range(1, 76):
       steps.clear()
       with pytest.raises(CapExceededError):
         _len_per(sys, basic_tuple(sys), cap)
-      assert len(steps) <= _OPENING + 3 * (math.isqrt(cap - 1) + 1), cap
+      assert 0 < len(steps) <= _OPENING + 3 * (math.isqrt(cap - 1) + 1), cap
 
   def test_lowmem_matches_brent(self):
     for m, n in SMALL_SYSTEMS:

@@ -180,7 +180,7 @@ def _cmd_coeff(args) -> int:
   if args.r_max is not None:
     table = coeff_table(sys_, args.r_max)
     if args.format == 'json':
-      rows = {str(r): list(table.rows[r]) for r in range(args.r_max + 1)}
+      rows = {str(r): row for r, row in enumerate(table.rows)}
       _emit(_json_line(rows), args.output)
     else:
       _emit(table.to_csv(), args.output)

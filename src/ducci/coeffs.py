@@ -15,7 +15,8 @@ a(r, s) = C(r, s-1).
 In Z_m[x]/(x^n - 1) row r is (1+x)^r, and D^r(u) is (1+x)^r times
 sum_s u_s x^(1-s) read at x^0, x^-1, ...; either is O(log r) cyclic
 convolutions by square-and-multiply, and no call keeps anything.
-`coeff_table` builds rows 0..r_max by stepping row 0 on a sqrt grid.
+`coeff_table` lists rows 0..r_max, and `orbit_summary` an orbit's
+states, by one row stream: sqrt(count) checkpoints stepped as a column.
 
 Also here: C(N, K) mod 2^l.  The power of two dividing it is the number
 of carries when adding K and N-K in base 2.  Its odd part comes from
@@ -60,12 +61,18 @@ def _check_row(sys: DucciSystem, r: int, name: str = 'row index') -> None:
   _check_cells(min(r + 1, sys.n) * sys.n, 'row products', _dtype(sys))
 
 
+def _sums_fit(m: int, terms: int, bits: int) -> bool:
+  # Every sum of `terms` products of two residues mod m is below 2^bits:
+  # 63 bits for int64 cells, 53 for float64 ones.
+  return terms * (m - 1) ** 2 < 1 << bits
+
+
 def _dtype(sys: DucciSystem) -> type:
   # A product cell sums at most n products of residues, so int64 is
-  # exact while n * (m-1)^2 < 2^63.  Past that, uint64 arithmetic wraps
+  # exact while they fit 63 bits.  Past that, uint64 arithmetic wraps
   # mod 2^64, which is exact mod any m dividing 2^64; other moduli use
   # Python ints.
-  if sys.n * (sys.m - 1) ** 2 < 1 << 63:
+  if _sums_fit(sys.m, sys.n, 63):
     return np.int64
   return np.uint64 if (1 << 64) % sys.m == 0 else object
 
@@ -102,20 +109,26 @@ def _power(sys: DucciSystem, r: int, v: Sequence[int]) -> np.ndarray:
   return _times(sys, out, np.array(v, dtype))
 
 
-def _rows(sys: DucciSystem, v: np.ndarray, count: int) -> np.ndarray:
-  # (1+x)^0..(1+x)^(count-1) times v as rows, on a grid of
+def _rows(sys: DucciSystem, v: np.ndarray, count: int,
+          cells=slice(None)) -> list[tuple]:
+  # (1+x)^0..(1+x)^(count-1) times v as tuples of `cells`, on a grid of
   # B = ceil(sqrt(count)) columns: each checkpoint (1+x)^(iB) v is one
-  # convolution past the one before, and B - 1 steps of (1+x) advance
-  # every checkpoint at once.
+  # convolution past the one before, and a step of (1+x) advances the
+  # whole column of checkpoints to the next.  Each column's tuples go to
+  # their places at once, so beside them only O(sqrt(count) * n) cells
+  # are held.
   width = math.isqrt(count - 1) + 1
   jump = _power(sys, width, [1])
-  grid = np.empty((-(-count // width), width, sys.n), v.dtype)
-  grid[0, 0] = v
-  for i in range(1, len(grid)):
-    grid[i, 0] = _times(sys, grid[i - 1, 0], jump)
-  for j in range(1, width):
-    grid[:, j] = _times_1x(sys, grid[:, j - 1].T).T
-  return grid.reshape(-1, sys.n)[:count]
+  col = np.empty((-(-count // width), sys.n), v.dtype)
+  col[0] = v
+  for i in range(1, len(col)):
+    col[i] = _times(sys, col[i - 1], jump)
+  rows = [()] * count
+  for j in range(width):
+    if j:
+      col = _times_1x(sys, col.T).T
+    rows[j::width] = map(tuple, col[:len(rows[j::width]), cells].tolist())
+  return rows
 
 
 def _row(sys: DucciSystem, r: int) -> np.ndarray:
@@ -153,27 +166,17 @@ class CoeffTable:
     return self.rows[r][_norm_col(self.sys.n, s) - 1]
 
   def to_csv(self) -> str:
-    lines = ['r,s,value']
-    for r, row in enumerate(self.rows):
-      for s0, value in enumerate(row):
-        lines.append(f'{r},{s0 + 1},{value}')
-    return '\n'.join(lines) + '\n'
+    # One string per row, not per cell, sits beside the text.
+    return ''.join(['r,s,value\n', *(
+      ''.join(f'{r},{s},{v}\n' for s, v in enumerate(row, 1))
+      for r, row in enumerate(self.rows))])
 
 
 def coeff_table(sys: DucciSystem, r_max: int) -> CoeffTable:
   '''Rows 0..r_max of the coefficient table, residues mod m.'''
   _check_int(r_max, 'row index')
   _check_cells((r_max + 1) * sys.n, 'table', _dtype(sys))
-  # Blocks of about (r_max + 1)^(3/4) rows, each from its first row by
-  # _rows and made tuples before the next, so no whole grid or list of
-  # lists sits beside the tuples.
-  width = math.isqrt(r_max) + 1
-  size = width * (math.isqrt(width) + 1)
-  first, jump, rows = _row(sys, 0), _power(sys, size, [1]), []
-  for start in range(0, r_max + 1, size):
-    rows.extend(map(tuple, _rows(sys, first, min(size, r_max + 1 - start)).tolist()))
-    first = _times(sys, first, jump)
-  return CoeffTable(sys, r_max, tuple(rows))
+  return CoeffTable(sys, r_max, tuple(_rows(sys, _row(sys, 0), r_max + 1)))
 
 
 def coeff_at(sys: DucciSystem, r: int, s: int) -> int:

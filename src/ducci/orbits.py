@@ -26,7 +26,8 @@ from typing import Sequence
 import numpy as np
 
 from . import _statespace
-from .coeffs import _check_cells, _dtype, _flip, _mod, _power, _rows, _times
+from .coeffs import (_check_cells, _dtype, _flip, _mod, _power, _rows,
+                     _sums_fit, _times)
 from .core import (DucciSystem, ResidueTuple, _check_int, basic_tuple,
                    format_tuple, validate_tuple)
 from .errors import CapExceededError
@@ -129,23 +130,21 @@ def _lane_step(w: int, lanes: tuple[int, ...]) -> int:
   return w - ((w + bias) >> width - 1 & ones) * m
 
 
-def _len_per(sys: DucciSystem, u: ResidueTuple, cap: int,
-             walked: list | None = None) -> tuple[int, int]:
+def _len_per(sys: DucciSystem, u: ResidueTuple, cap: int) -> tuple[int, int]:
   '''(len, per) of the orbit of u if len + per <= cap, else refuse.
 
   D^r is multiplication by (1+x)^r in Z_m[x]/(x^n - 1), u_(-j) at x^j.
   Every state walked is one int, coefficient j in lane j of W bits (see
   _lane_bytes), stepped by _lane_step and its own dict key; powers and
   giant steps are numpy products, each packed once.  A refusal's message
-  names u itself.  Orbits of up to _OPENING states end in a walk, whose
-  ints are left in `walked` when given.  Past that, y = D^cap(u) is on
-  the cycle iff len <= cap.  With b = ceil(sqrt(cap)), baby steps
-  D^j(y), j < b, and giant steps (1+x)^(ib) y meet first p steps apart:
-  p = per if y is on the cycle, else a multiple of it.  Either way u
-  and D^p(u) meet after len lockstep steps, so len + per <= cap iff
-  len + p <= cap.  Past b lockstep steps, D^(cap-p)(u) == y decides at
-  once whether len <= cap - p, so a refusal stays within O(sqrt(cap))
-  steps.
+  names u itself.  Orbits of up to _OPENING states end in a walk.  Past
+  that, y = D^cap(u) is on the cycle iff len <= cap.  With
+  b = ceil(sqrt(cap)), baby steps D^j(y), j < b, and giant steps
+  (1+x)^(ib) y meet first p steps apart: p = per if y is on the cycle,
+  else a multiple of it.  Either way u and D^p(u) meet after len
+  lockstep steps, so len + per <= cap iff len + p <= cap.  Past b
+  lockstep steps, D^(cap-p)(u) == y decides at once whether
+  len <= cap - p, so a refusal stays within O(sqrt(cap)) steps.
   '''
   _check_int(cap, 'state cap')
   b = math.isqrt(cap - 1) + 1 if cap > 0 else 0
@@ -166,8 +165,6 @@ def _len_per(sys: DucciSystem, u: ResidueTuple, cap: int,
     return seen, w
   seen, w = walk(start, min(_OPENING, cap))
   if w in seen:
-    if walked is not None:
-      walked.extend(seen)
     return seen[w], len(seen) - seen[w]
   text = format_tuple(u) if len(u) <= 8 else (
     format_tuple(u[:4])[:-1] + ',...,' + format_tuple(u[-4:])[1:])
@@ -185,7 +182,7 @@ def _len_per(sys: DucciSystem, u: ResidueTuple, cap: int,
       # that, convolving with its b + 1 coefficients is cheaper.
       cols = np.arange(n)
       giant = giant[(cols[:, None] - cols) % n]
-      if n * (m - 1) ** 2 < 1 << 53:
+      if _sums_fit(m, n, 53):
         giant, z = giant.astype(np.float64), z.astype(np.float64)
     for i in range(1, b + 1):
       z = _mod(sys, giant.dot(z)) if giant.ndim == 2 else _times(sys, z, giant)
@@ -218,17 +215,11 @@ def orbit_summary(sys: DucciSystem, u: Sequence[int], *,
   products, min(max_states + 1, n) * n, or the stored (len + per) * n.
   For longer orbits use `orbit_len_per_lowmem`.
   '''
-  cur, walked = validate_tuple(sys, u), []
-  length, per = _len_per(sys, cur, max_states, walked)
-  count, size = length + per, _lane_bytes(sys)
-  _check_cells(count * sys.n, f'orbit in {sys}', _dtype(sys))
-  if walked and size in (1, 2, 4, 8):
-    rows = np.frombuffer(b''.join(w.to_bytes(size * sys.n, 'little')
-                                  for w in walked[:count]), f'<u{size}')
-    rows = rows.reshape(count, sys.n)
-  else:
-    rows = _rows(sys, np.array(_flip(cur), _dtype(sys)), count)
-  states = list(map(tuple, rows[:, -np.arange(sys.n)].tolist()))
+  cur = validate_tuple(sys, u)
+  length, per = _len_per(sys, cur, max_states)
+  _check_cells((length + per) * sys.n, f'orbit in {sys}', _dtype(sys))
+  states = _rows(sys, np.array(_flip(cur), _dtype(sys)), length + per,
+                 -np.arange(sys.n))
   return OrbitSummary(
     len=length,
     per=per,

@@ -63,7 +63,8 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .coeffs import _check_cells, _flip, _row, _times_1x, binom_mod_pow2_range
+from .coeffs import (_check_cells, _flip, _row, _sums_fit, _times_1x,
+                     binom_mod_pow2_range)
 from .core import DucciSystem, make_system
 from .errors import CapExceededError, ParameterError
 from .orbits import basic_len_per
@@ -238,7 +239,7 @@ def verify_trivial_kernel(k_range=range(1, 6),
 def _cell_dtype(m: int) -> type:
   '''The dtype of `_span_order`'s cells over Z_m: a row step subtracts
   q * cell, both below m, so int64 serves while that fits.'''
-  return object if (m - 1) ** 2 >= 1 << 62 else np.int64
+  return np.int64 if _sums_fit(m, 2, 63) else object
 
 
 def _span_order(rows, m: int) -> int:

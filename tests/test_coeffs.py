@@ -169,15 +169,23 @@ class TestTable:
   def test_table_peak_is_about_its_tuples(self):
     # The rows kept are 8.8 bytes a cell (pointers to small ints); the
     # int64 grid and lists they came from peaked at 17.8 when whole.
+    # Their CSV text is 10.2 bytes a cell; with one string a row beside
+    # it, to_csv peaks near twice that, and at 86.6 with one a cell.
     sys, r_max = make_system(7, 64), (1 << 14) - 1
     tracemalloc.start()
     try:
       table = coeff_table(sys, r_max)
       peak = tracemalloc.get_traced_memory()[1]
+      tracemalloc.reset_peak()
+      kept = tracemalloc.get_traced_memory()[0]
+      csv = table.to_csv()
+      csv_peak = tracemalloc.get_traced_memory()[1] - kept
     finally:
       tracemalloc.stop()
     assert table.rows[r_max] == tuple(engine_row(sys, r_max))
     assert peak / ((r_max + 1) * 64) < 12
+    assert csv.count('\n') == (r_max + 1) * 64 + 1
+    assert csv_peak / ((r_max + 1) * 64) < 30
 
   def test_csv_snapshot(self):
     csv = coeff_table(make_system(4, 2), 2).to_csv()
@@ -198,9 +206,12 @@ class TestAgainstRecurrence:
 
   # Tables step row 0 on a sqrt grid in each dtype of the engine: int64,
   # uint64 wrapping mod 2^64, and Python ints; rows hold Python ints.
+  # Counts 1, B^2 = 25, B^2 + 1 = 26 (B = 6, C = 5) and B * C - 1 = 29
+  # sit at the grid's edges.
   @pytest.mark.parametrize('m,n,r_max', [
     (4, 4, 8), (2, 1, 5), (7, 13, 500), (3, 1, 0), (12, 64, 3000),
-    (2 ** 64, 3, 70), (10 ** 19 + 7, 5, 40), (2 ** 70, 6, 33)])
+    (2 ** 64, 3, 70), (10 ** 19 + 7, 5, 40), (2 ** 70, 6, 33),
+    (6, 5, 0), (6, 5, 24), (6, 5, 25), (6, 5, 28)])
   def test_table_matches_recurrence(self, m, n, r_max):
     rows = coeff_table(make_system(m, n), r_max).rows
     assert rows == tuple(recurrence_rows(m, n, r_max))

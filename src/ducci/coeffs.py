@@ -15,7 +15,7 @@ a(r, s) = C(r, s-1).
 In Z_m[x]/(x^n - 1) row r is (1+x)^r, and D^r(u) is (1+x)^r times
 sum_s u_s x^(1-s) read at x^0, x^-1, ...; either is O(log r) cyclic
 convolutions by square-and-multiply, and no call keeps anything.
-`coeff_table` lists rows 0..r_max, and `orbit_summary` an orbit's
+`coeff_table` lists rows 0..r_max, and `orbit_summary` orbits past 16
 states, by one row stream: sqrt(count) checkpoints stepped as a column.
 
 Also here: C(N, K) mod 2^l.  The power of two dividing it is the number
@@ -98,15 +98,16 @@ def _times_1x(sys: DucciSystem, v: np.ndarray) -> np.ndarray:
   return _mod(sys, v + v[np.arange(-1, len(v) - 1)])
 
 
-def _power(sys: DucciSystem, r: int, v: Sequence[int]) -> np.ndarray:
-  # (1+x)^r * v in Z_m[x]/(x^n - 1) by square-and-multiply.
-  dtype = _dtype(sys)
-  out = np.ones(1, dtype)
-  for bit in f'{r:b}':
-    out = _times(sys, out, out)
+def _power(sys: DucciSystem, r: int,
+           v: Sequence[int] | None = None) -> np.ndarray:
+  # (1+x)^r in Z_m[x]/(x^n - 1) by square-and-multiply, times v if given.
+  out = np.ones(1, _dtype(sys))
+  for i, bit in enumerate(f'{r:b}'):
+    if i:
+      out = _times(sys, out, out)
     if bit == '1':
       out = _times_1x(sys, out)
-  return _times(sys, out, np.array(v, dtype))
+  return out if v is None else _times(sys, out, np.array(v, out.dtype))
 
 
 def _rows(sys: DucciSystem, v: np.ndarray, count: int,
@@ -118,7 +119,7 @@ def _rows(sys: DucciSystem, v: np.ndarray, count: int,
   # their places at once, so beside them only O(sqrt(count) * n) cells
   # are held.
   width = math.isqrt(count - 1) + 1
-  jump = _power(sys, width, [1])
+  jump = _power(sys, width)
   col = np.empty((-(-count // width), sys.n), v.dtype)
   col[0] = v
   for i in range(1, len(col)):
@@ -135,7 +136,7 @@ def _row(sys: DucciSystem, r: int) -> np.ndarray:
   '''Coefficient row r, (1+x)^r, as n residues; refused when its
   products pass the cell cap.'''
   _check_row(sys, r)
-  head = _power(sys, r, [1])  # min(r + 1, n) coefficients
+  head = _power(sys, r)  # min(r + 1, n) coefficients
   row = np.zeros(sys.n, head.dtype)
   row[:len(head)] = head
   return row

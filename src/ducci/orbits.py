@@ -20,7 +20,7 @@ import math
 from collections.abc import ItemsView, Mapping, ValuesView
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import product
+from itertools import accumulate, product, repeat
 from typing import Sequence
 
 import numpy as np
@@ -28,7 +28,7 @@ import numpy as np
 from . import _statespace
 from .coeffs import (_check_cells, _dtype, _flip, _mod, _power, _rows,
                      _sums_fit, _times)
-from .core import (DucciSystem, ResidueTuple, _check_int, basic_tuple,
+from .core import (DucciSystem, ResidueTuple, _check_int, _step, basic_tuple,
                    format_tuple, validate_tuple)
 from .errors import CapExceededError
 from .limits import ENUM_NODE_CAP, ORBIT_VISIT_CAP
@@ -97,12 +97,13 @@ class KernelSet:
 
 
 # States the opening walk takes before the search.  Orbits this short
-# end in it; every longer orbit and every refusal pays for it on top of
-# the search.  With packed steps, over the 360 refused point_queries
-# orbit queries of seeds 4001-4020 (sums of per-query minima of 15),
-# openings of 16, 24, 32 and 48 took 200, 205, 206 and 208 ms, while
-# the 360 fitting ones gained at most 2% at 32; refusals set the
-# latency tail, so 16.
+# end in it, and orbit_summary lists their states by stepping, cheaper
+# there than the row stream; every longer orbit and every refusal pays
+# for the walk on top of the search.  With packed steps, over the 360
+# refused point_queries orbit queries of seeds 4001-4020 (sums of
+# per-query minima of 15), openings of 16, 24, 32 and 48 took 200, 205,
+# 206 and 208 ms, while the 360 fitting ones gained at most 2% at 32;
+# refusals set the latency tail, so 16.
 _OPENING = 16
 
 
@@ -174,16 +175,14 @@ def _len_per(sys: DucciSystem, u: ResidueTuple, cap: int) -> tuple[int, int]:
   baby, w = walk(y := _pack(z, size), b)
   p = len(baby) - baby[w] if w in baby else None
   if p is None:
-    giant = _power(sys, b, [1])
-    if n <= b:
-      # (1+x)^b has all n coefficients; a giant step is one product with
-      # their circulant, no more cells than the b baby keys hold, and in
-      # float64 (BLAS) when every sum of n products is below 2^53.  Past
-      # that, convolving with its b + 1 coefficients is cheaper.
+    giant = _power(sys, b)
+    if n <= b and _sums_fit(m, n, 53):
+      # (1+x)^b has all n coefficients and every sum of n products is
+      # below 2^53: a giant step is one exact float64 (BLAS) product with
+      # their circulant, no more cells than the b baby keys hold.  Every
+      # other giant step convolves with (1+x)^b in _times.
       cols = np.arange(n)
-      giant = giant[(cols[:, None] - cols) % n]
-      if _sums_fit(m, n, 53):
-        giant, z = giant.astype(np.float64), z.astype(np.float64)
+      giant = giant[(cols[:, None] - cols) % n].astype(np.float64)
     for i in range(1, b + 1):
       z = _mod(sys, giant.dot(z)) if giant.ndim == 2 else _times(sys, z, giant)
       if (w := _pack(z, size)) in baby:
@@ -217,9 +216,11 @@ def orbit_summary(sys: DucciSystem, u: Sequence[int], *,
   '''
   cur = validate_tuple(sys, u)
   length, per = _len_per(sys, cur, max_states)
-  _check_cells((length + per) * sys.n, f'orbit in {sys}', _dtype(sys))
-  states = _rows(sys, np.array(_flip(cur), _dtype(sys)), length + per,
-                 -np.arange(sys.n))
+  count = length + per
+  _check_cells(count * sys.n, f'orbit in {sys}', _dtype(sys))
+  states = (_rows(sys, np.array(_flip(cur), _dtype(sys)), count,
+                  -np.arange(sys.n)) if count > _OPENING else
+            list(accumulate(repeat(sys.m, count - 1), _step, initial=cur)))
   return OrbitSummary(
     len=length,
     per=per,

@@ -15,11 +15,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import ducci.coeffs
 from ducci import (CapExceededError, ParameterError, apply_coeff_expansion,
                    basic_tuple, binom_mod_pow2, coeff_at, coeff_table,
                    ducci_iter, make_system, orbit_summary, view_f, view_g,
                    view_h)
-from ducci.coeffs import _row
+from ducci.coeffs import _power, _row
 from ducci.limits import COEFF_CELL_CAP
 from ducci.verify import DEFAULT_SYSTEMS
 
@@ -252,6 +253,19 @@ class TestAgainstRecurrence:
     assert row.tolist() == [x % m for x in ints.tolist()]
     u = tuple(rnd.randrange(m) for _ in range(n))
     assert apply_coeff_expansion(sys, u, r % 60) == ducci_iter(sys, u, r % 60)
+
+  @pytest.mark.parametrize('t', [0, 1, 4, 9])
+  def test_power_of_two_squares_t_times(self, monkeypatch, t):
+    # (1+x)^(2^t) starts from 1 + x and squares it t times: no product
+    # squares the unit 1 or multiplies by it.
+    sys, r = make_system(7, 16), 1 << t
+    calls, times = [], ducci.coeffs._times
+    monkeypatch.setattr(ducci.coeffs, '_times',
+                        lambda *args: calls.append(1) or times(*args))
+    head = _power(sys, r).tolist()
+    assert len(calls) == t
+    want = recurrence_rows(7, 16, r)[r]
+    assert tuple(head + [0] * (16 - len(head))) == want
 
 
 class TestIdentities:

@@ -111,6 +111,24 @@ class TestOrbitSummary:
       orbit_summary(sys, u, max_states=count - 1)
     assert (info.value.required, info.value.cap) == (count, count - 1)
 
+  @pytest.mark.parametrize('count', [_OPENING, _OPENING + 1])
+  def test_opening_orbits_are_stepped(self, monkeypatch, count):
+    # An orbit the opening walk closed is listed by stepping; one state
+    # longer, it comes from the row stream.  Z_4^5 has both sizes.
+    sys = make_system(4, 5)
+    u = next(u for u, lp in len_per_map(sys).items() if sum(lp) == count)
+    truth = dict_walk(sys, u, count)
+    assert_replays(sys, u, orbit_summary(sys, u), truth)
+
+    def no_rows(*args):
+      raise AssertionError('the row stream listed the orbit')
+    monkeypatch.setattr(ducci.orbits, '_rows', no_rows)
+    if count > _OPENING:
+      with pytest.raises(AssertionError, match='row stream'):
+        orbit_summary(sys, u)
+    else:
+      assert_replays(sys, u, orbit_summary(sys, u), truth)
+
   def test_long_orbit_on_the_grid(self):
     # 2,401 states of 60 cells: 49 checkpoints stepped 48 times.
     sys = make_system(7, 60)
@@ -374,8 +392,8 @@ class TestEngine:
     # per > b = ceil(sqrt(cap)) at caps len + per and (per - 1)^2: the b
     # baby steps from D^cap(u), on the cycle, see no repeat, so giant
     # steps find per.  At the larger cap (1+x)^b has cells of every size.
-    # Circulant products run in float64 below n(m-1)^2 = 2^53, and in
-    # int64 from it on, where float64 sums would round.  48912491 and
+    # Circulant products run in float64 below n(m-1)^2 = 2^53, and by
+    # convolution from it on, where float64 sums would round.  48912491 and
     # 536903681, prime factors of 2^55 + 1 and 2^58 + 1, have short
     # orbits of unstructured cells.
     sys = make_system(m, n)
@@ -400,6 +418,7 @@ class TestEngine:
     def no_step(*args):
       raise AssertionError('a state tuple was stepped')
     monkeypatch.setattr('ducci.core._step', no_step)
+    monkeypatch.setattr('ducci.orbits._step', no_step)
     assert orbit_len_per_lowmem(fits, basic_tuple(fits),
                                 max_steps=cap) == truth
     summary = orbit_summary(fits, basic_tuple(fits), max_states=cap)
